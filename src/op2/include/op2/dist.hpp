@@ -35,19 +35,16 @@
 #include <vector>
 
 #include "apl/graph/partition.hpp"
-#include "apl/mpisim/comm.hpp"
-#include "apl/resilience.hpp"
+#include "apl/mpisim/recovery.hpp"
 #include "op2/context.hpp"
 #include "op2/par_loop.hpp"
 
-namespace apl::io {
-class CheckpointStore;
-class File;
-}
-
 namespace op2 {
 
-class Distributed {
+/// Fault tolerance — checkpoint, recover, shrink_recover, recover_auto and
+/// recover_outcome — comes from the shared apl::mpisim::RecoveryDriver;
+/// this class supplies its mesh-specific hooks.
+class Distributed : public apl::mpisim::RecoveryDriver {
 public:
   /// Partitions `base_set` of `ctx` with `method` across `nranks` ranks and
   /// derives every other set's partition through the maps. `coords` (a dat
@@ -56,9 +53,6 @@ public:
   Distributed(Context& ctx, int nranks, apl::graph::PartitionMethod method,
               const Set& base_set, const DatBase* coords = nullptr);
 
-  int num_ranks() const { return comm_.size(); }
-  apl::mpisim::Comm& comm() { return comm_; }
-  const apl::mpisim::Comm& comm() const { return comm_; }
   Context& rank_context(int r) { return *rank_ctx_[r]; }
   Context& global_context() { return *global_; }
 
@@ -104,37 +98,6 @@ public:
   /// (owned values and ghosts), e.g. after host-side re-initialization.
   void scatter(DatBase& global_dat);
 
-  // ---- fault tolerance (apl::fault + apl::io::CheckpointStore) -------------
-  /// Collective checkpoint: gathers authoritative owner values of every dat
-  /// into the global context and writes one crash-safe snapshot tagged with
-  /// the caller's `step` counter.
-  void checkpoint(apl::io::CheckpointStore& store, std::int64_t step);
-  /// Collective rollback after a rank failure: revives all ranks, discards
-  /// in-flight messages, restores every dat from the last good checkpoint
-  /// and re-scatters it. The redistribution bytes are accounted as recovery
-  /// traffic. Returns the step recorded at checkpoint time.
-  std::int64_t recover(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recovery (ULFM-style): removes the failed ranks
-  /// from the communicator, repartitions the mesh over the survivors
-  /// (reusing the plan/partition cache when warm), restores every dat from
-  /// the last good checkpoint re-scattered onto the new rank count, and
-  /// resumes — bitwise-identical to a failure-free run at that rank count.
-  /// Returns the step recorded at checkpoint time.
-  std::int64_t shrink_recover(apl::io::CheckpointStore& store);
-  /// The degradation ladder: consults apl::resilience::policy() and takes
-  /// the configured rung for a permanent rank loss — revive rollback,
-  /// shrink (bounded by the policy's shrink budget), replicated
-  /// single-rank fallback, or a named LadderExhausted error. Never hangs.
-  std::int64_t recover_auto(apl::io::CheckpointStore& store);
-  /// recover_auto with the result *as data*: the rung reached, the resume
-  /// step, the ledger deltas (retries/shrinks/backoff/MTTR) this recovery
-  /// cost, and — on failure — the named error kind instead of a throw.
-  /// LadderExhausted and recovery errors are absorbed into the Outcome;
-  /// anything non-resilience (e.g. a fresh injected Kill) still throws.
-  apl::resilience::Outcome recover_outcome(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recoveries performed so far (ladder bookkeeping).
-  int shrinks_done() const { return shrinks_done_; }
-
 private:
   struct SetDist {
     std::vector<index_t> owner;                 ///< global element -> rank
@@ -146,10 +109,19 @@ private:
   void partition_sets(apl::graph::PartitionMethod method, const Set& base,
                       const DatBase* coords);
   void build_rank_contexts();
-  /// Named expected-vs-found diagnostic for a checkpoint whose dat layout
-  /// does not match this mesh (e.g. restoring another app's snapshot),
-  /// instead of a generic size-mismatch deep inside the scatter.
-  void validate_checkpoint_layout(const apl::io::File& file) const;
+
+  // ---- RecoveryDriver hooks
+  void save_dats(apl::io::File& file) override;
+  void load_dats(const apl::io::File& file) override;
+  /// Expected-vs-found entry count and entry size of a stored dat.
+  std::string dat_layout_mismatch(
+      const std::string& name, const apl::io::Dataset& stored) const override;
+  void scatter_all() override;
+  /// Repartitions with the remembered method (a warm plan-cache hit for a
+  /// previously seen rank count) and re-applies the node settings.
+  void redistribute() override;
+  std::uint64_t replica_bytes() const override;
+
   void validate_args(const std::string& name,
                      const std::vector<ArgInfo>& infos) const;
   /// Owners push current values of dat `d` into every ghost copy.
@@ -164,22 +136,20 @@ private:
   void zero_ghosts(index_t dat_id);
 
   Context* global_;
-  apl::mpisim::Comm comm_;
   std::vector<SetDist> set_dist_;                 ///< by global set id
   std::vector<std::unique_ptr<Context>> rank_ctx_;
   std::vector<char> halo_dirty_;                  ///< by global dat id
-  // Partition inputs, remembered so shrink_recover can re-derive the
+  // Partition inputs, remembered so redistribute can re-derive the
   // distribution at the survivor count from the global mesh alone.
   apl::graph::PartitionMethod method_;
   index_t base_set_id_;
   index_t coords_id_ = -1;
   std::optional<apl::exec::Backend> node_backend_;
-  // Lazy-engine settings, remembered because shrink_recover rebuilds the
+  // Lazy-engine settings, remembered because redistribute rebuilds the
   // rank contexts.
   bool rank_lazy_ = false;
   bool rank_tiling_ = true;
   index_t rank_tile_size_ = 0;
-  int shrinks_done_ = 0;
 
   // ---- typed helpers for the par_loop template ---------------------------
 

@@ -4,13 +4,23 @@
 // distributed memory environment".
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "apl/io/h5lite.hpp"
 #include "op2/context.hpp"
 #include "op2/dist.hpp"
 
 namespace op2 {
+
+/// A dat's logical content in AoS entry order, independent of its layout.
+std::vector<std::uint8_t> pack_entries(const DatBase& dat);
+
+/// The inverse of pack_entries; a size mismatch throws, naming `what`.
+void unpack_entries(DatBase& dat, std::span<const std::uint8_t> bytes,
+                    const std::string& what);
 
 /// Writes every dat of the context into `file` under "dat/<name>"
 /// (AoS order, with a "<name>/dim" attribute dataset).

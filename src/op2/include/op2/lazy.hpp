@@ -70,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain_stats.hpp"
 #include "op2/arg.hpp"
 #include "op2/mesh.hpp"
 
@@ -95,29 +96,8 @@ struct LoopRecord {
   std::function<void(index_t, index_t)> run_slice;
 };
 
-/// Accumulated lazy-engine statistics, exposed through
-/// Context::chain_stats() and reported by bench_report's op2-tiling
-/// columns.
-struct ChainStats {
-  std::uint64_t flushes = 0;    ///< chains executed
-  std::uint64_t loops = 0;      ///< loops executed through chains
-  std::uint64_t tiles = 0;      ///< tile slices' tiles (1 per loop if unfused)
-  std::uint64_t rounds = 0;     ///< color rounds executed by the team path
-  std::uint64_t verbatim = 0;   ///< chains replayed unfused
-  std::uint64_t max_chain = 0;  ///< longest chain seen
-  /// Modeled DRAM traffic: each loop streaming all its arguments (what
-  /// eager execution does) vs. each dat entry entering cache once per
-  /// tile it is touched in.
-  std::uint64_t eager_bytes = 0;
-  std::uint64_t tiled_bytes = 0;
-
-  double traffic_saved_fraction() const {
-    return eager_bytes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(tiled_bytes) /
-                           static_cast<double>(eager_bytes);
-  }
-};
+/// Accumulated lazy-engine statistics (Context::chain_stats()).
+using ChainStats = apl::ChainStats;
 
 /// Compiled execution schedule of one flushed chain — the inspector's
 /// output with the inspection itself stripped away. When `fused` is

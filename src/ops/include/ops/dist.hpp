@@ -23,26 +23,20 @@
 #include <tuple>
 #include <vector>
 
-#include "apl/mpisim/comm.hpp"
-#include "apl/resilience.hpp"
+#include "apl/mpisim/recovery.hpp"
 #include "ops/context.hpp"
 #include "ops/par_loop.hpp"
 
-namespace apl::io {
-class CheckpointStore;
-class File;
-}
-
 namespace ops {
 
-class Distributed {
+/// Fault tolerance — checkpoint, recover, shrink_recover, recover_auto and
+/// recover_outcome — comes from the shared apl::mpisim::RecoveryDriver;
+/// this class supplies its grid-specific hooks.
+class Distributed : public apl::mpisim::RecoveryDriver {
 public:
   /// Decomposes every block of `ctx` over `nranks` ranks.
   Distributed(Context& ctx, int nranks);
 
-  int num_ranks() const { return comm_.size(); }
-  apl::mpisim::Comm& comm() { return comm_; }
-  const apl::mpisim::Comm& comm() const { return comm_; }
   Context& rank_context(int r) { return *rank_ctx_[r]; }
   void set_node_backend(Backend b);
   /// Lazy loop-chain execution inside every rank context: rank loops queue
@@ -66,32 +60,6 @@ public:
   /// Pushes global dat contents out to all ranks (owned + halo copies).
   void scatter(DatBase& global_dat);
 
-  // ---- fault tolerance (apl::fault + apl::io::CheckpointStore) -------------
-  /// Collective checkpoint: gathers every dataset into the global context
-  /// and writes one crash-safe snapshot tagged with `step`.
-  void checkpoint(apl::io::CheckpointStore& store, std::int64_t step);
-  /// Collective rollback after a rank failure: revives all ranks, restores
-  /// every dataset from the last good checkpoint and re-scatters. The bytes
-  /// moved are accounted as recovery traffic. Returns the recorded step.
-  std::int64_t recover(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recovery: removes the failed ranks, re-decomposes
-  /// every block over the survivors, restores all datasets from the last
-  /// good checkpoint re-scattered onto the new rank count, and resumes —
-  /// bitwise-identical to a failure-free run at that rank count.
-  std::int64_t shrink_recover(apl::io::CheckpointStore& store);
-  /// The degradation ladder (apl::resilience::policy()): revive rollback,
-  /// shrink (bounded), replicated single-rank fallback, or a named
-  /// LadderExhausted error. Never hangs.
-  std::int64_t recover_auto(apl::io::CheckpointStore& store);
-  /// recover_auto with the result *as data*: the rung reached, the resume
-  /// step, the ledger deltas (retries/shrinks/backoff/MTTR) this recovery
-  /// cost, and — on failure — the named error kind instead of a throw.
-  /// LadderExhausted and recovery errors are absorbed into the Outcome;
-  /// anything non-resilience (e.g. a fresh injected Kill) still throws.
-  apl::resilience::Outcome recover_outcome(apl::io::CheckpointStore& store);
-  /// Shrink-and-continue recoveries performed so far (ladder bookkeeping).
-  int shrinks_done() const { return shrinks_done_; }
-
 private:
   struct Decomp {
     std::array<int, kMaxDim> pgrid{1, 1, 1};
@@ -104,9 +72,18 @@ private:
   void init_decomposition();
   /// Builds one private context per rank and scatters every dataset.
   void build_rank_contexts();
-  /// Named expected-vs-found diagnostic for a checkpoint whose dataset
-  /// layout does not match this grid, instead of a generic size mismatch.
-  void validate_checkpoint_layout(const apl::io::File& file) const;
+
+  // ---- RecoveryDriver hooks
+  void save_dats(apl::io::File& file) override;
+  void load_dats(const apl::io::File& file) override;
+  /// Expected-vs-found byte size of a stored dataset's full allocation.
+  std::string dat_layout_mismatch(
+      const std::string& name, const apl::io::Dataset& stored) const override;
+  void scatter_all() override;
+  /// Re-decomposes every block over the survivors.
+  void redistribute() override;
+  std::uint64_t replica_bytes() const override;
+
   std::array<int, kMaxDim> rank_coords(const Decomp& dec, int r) const;
   /// Owned interval of rank coordinate c in dimension d, clamped to a
   /// dataset extent `s`; edge ranks extend into the physical halo.
@@ -122,7 +99,6 @@ private:
   void verify_halo_coherence(const std::string& loop, index_t dat_id);
 
   Context* global_;
-  apl::mpisim::Comm comm_;
   std::vector<Decomp> decomp_;  ///< by block id
   std::vector<std::unique_ptr<Context>> rank_ctx_;
   /// Translation of local (rank) dat coordinates to global: global =
@@ -130,11 +106,10 @@ private:
   std::vector<std::vector<std::array<index_t, kMaxDim>>> offset_;
   std::vector<char> halo_dirty_;
   std::array<index_t, kMaxDim> current_shift_{};
-  // Node-level execution settings, remembered so shrink_recover can
+  // Node-level execution settings, remembered so redistribute can
   // reapply them to freshly rebuilt rank contexts.
   std::optional<Backend> node_backend_;
   bool node_lazy_ = false;
-  int shrinks_done_ = 0;
 
   // ---- typed helpers ---------------------------------------------------
 

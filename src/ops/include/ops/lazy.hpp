@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "apl/chain_stats.hpp"
 #include "ops/arg.hpp"
 #include "ops/core.hpp"
 
@@ -58,25 +59,8 @@ struct LoopRecord {
   std::function<void(const Range&)> run;
 };
 
-/// Accumulated lazy-engine statistics, reported by the tiling bench and
-/// exposed through Context::chain_stats().
-struct ChainStats {
-  std::uint64_t flushes = 0;      ///< chains executed
-  std::uint64_t loops = 0;        ///< loops executed through chains
-  std::uint64_t tiles = 0;        ///< tiles executed (1 per loop if untiled)
-  std::uint64_t max_chain = 0;    ///< longest chain seen
-  /// Modeled DRAM traffic: each loop streaming all its arguments (what
-  /// eager execution does) vs. each dataset entering cache once per tile.
-  std::uint64_t eager_bytes = 0;
-  std::uint64_t tiled_bytes = 0;
-
-  double traffic_saved_fraction() const {
-    return eager_bytes == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(tiled_bytes) /
-                           static_cast<double>(eager_bytes);
-  }
-};
+/// Accumulated lazy-engine statistics (Context::chain_stats()).
+using ChainStats = apl::ChainStats;
 
 /// Per-loop tile skews for a chain of loops over one block, tiled along
 /// dimension `dim`: result[l] is the offset added to every tile edge for

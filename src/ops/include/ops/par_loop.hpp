@@ -227,6 +227,15 @@ void run_span(const Range& r, index_t out_lo, index_t out_hi, int out_dim,
   }
 }
 
+/// An ArgIdx hands the kernel a pointer into its own buffer, so each
+/// worker of the checked path runs on a private copy of it; every other
+/// argument is shared.
+template <class A>
+A& worker_arg(A& a) {
+  return a;
+}
+inline ArgIdx worker_arg(ArgIdx& a) { return a; }
+
 /// Slow path used only under debug checks: per-point accessors carrying
 /// the stencil-validation state.
 template <class Kernel, class... Args>
@@ -237,16 +246,21 @@ void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
   Range local = r;
   local.lo[out_dim] = out_lo;
   local.hi[out_dim] = out_hi;
-  for (int kk = local.lo[2]; kk < local.hi[2]; ++kk) {
-    for (int jj = local.lo[1]; jj < local.hi[1]; ++jj) {
-      for (int ii = local.lo[0]; ii < local.hi[0]; ++ii) {
-        c.idx[0] = ii;
-        c.idx[1] = jj;
-        c.idx[2] = kk;
-        k(point_param(args, c)...);
-      }
-    }
-  }
+  std::tuple<decltype(worker_arg(args))...> mine(worker_arg(args)...);
+  std::apply(
+      [&](auto&... a) {
+        for (int kk = local.lo[2]; kk < local.hi[2]; ++kk) {
+          for (int jj = local.lo[1]; jj < local.hi[1]; ++jj) {
+            for (int ii = local.lo[0]; ii < local.hi[0]; ++ii) {
+              c.idx[0] = ii;
+              c.idx[1] = jj;
+              c.idx[2] = kk;
+              k(point_param(a, c)...);
+            }
+          }
+        }
+      },
+      mine);
 }
 
 /// Backend dispatch.

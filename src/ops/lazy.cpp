@@ -817,6 +817,12 @@ void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
 
   const ChainSchedule& sched = ctx.plan_for({"chain", &chain});
   execute_schedule(sched, chain, stats);
+  if (std::none_of(sched.ops.begin(), sched.ops.end(),
+                   [](const ChainSchedule::Op& op) {
+                     return op.kind == ChainSchedule::OpKind::kTiledSegment;
+                   })) {
+    ++stats.verbatim;
+  }
 
   // Per-loop profile accounting over the full recorded ranges — the same
   // useful-byte totals and call counts eager execution records, so the

@@ -115,8 +115,9 @@ const char* to_string(Rung r);
 /// A recovery attempt's result *as data*: what the throwing path
 /// (recover_auto / LadderExhausted) reports, but structured, so a job
 /// scheduler or a driver can ledger terminal resilience failures without
-/// parsing exception text. Produced by the dist layers' recover_outcome;
-/// the throwing API remains for library users who prefer exceptions.
+/// parsing exception text. Produced by
+/// apl::mpisim::RecoveryDriver::recover_outcome; the throwing API remains
+/// for library users who prefer exceptions.
 struct Outcome {
   bool ok = false;
   Rung rung = Rung::kNone;     ///< highest rung the recovery reached

@@ -248,6 +248,23 @@ TEST(OpsLazy, TilingReportsTrafficSavings) {
   // loops, so the tiled traffic model must come in under streaming.
   EXPECT_LT(st.tiled_bytes, st.eager_bytes);
   EXPECT_GT(st.traffic_saved_fraction(), 0.2);
+  EXPECT_EQ(st.verbatim, 0u);  // the one chain had a tiled segment
+  EXPECT_EQ(st.rounds, 0u);    // color rounds are op2's team path only
+}
+
+TEST(OpsLazy, UntiledChainsCountAsVerbatim) {
+  Heat2D h;
+  h.ctx.set_lazy(true);
+  h.ctx.set_tiling(false);
+  h.init();
+  h.sweep();
+  h.ctx.flush();
+  h.sweep();
+  h.ctx.flush();
+  const ops::ChainStats& st = h.ctx.chain_stats();
+  EXPECT_EQ(st.flushes, 2u);
+  EXPECT_EQ(st.verbatim, st.flushes);
+  EXPECT_EQ(st.rounds, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "airfoil/airfoil.hpp"
 #include "apl/fault.hpp"
 #include "apl/io/ckpt.hpp"
+#include "apl/mpisim/recovery.hpp"
 #include "apl/resilience.hpp"
 #include "cloverleaf/cloverleaf_ops.hpp"
 #include "op2/dist.hpp"
@@ -286,50 +289,124 @@ TEST_F(ShrinkRecoverTest, RetryBudgetZeroEscalatesToLadderExhausted) {
       LadderExhausted);
 }
 
-TEST_F(ShrinkRecoverTest, PolicyFailForbidsRecovery) {
+// ---- the rank-failure rungs, on both front ends ---------------------------
+//
+// op2 and ops share one recovery driver (apl::mpisim::RecoveryDriver), so
+// every rung below runs unchanged on Airfoil and on a lazy-chained
+// CloverLeaf.
+
+/// One distributed proxy app as the ladder tests see it.
+class FrontEnd {
+ public:
+  virtual ~FrontEnd() = default;
+  virtual apl::mpisim::RecoveryDriver& dist() = 0;
+  virtual void step() = 0;
+  /// Rewinds the app's step counter to a restored checkpoint step.
+  virtual void resume_at(int /*step*/) {}
+  virtual std::vector<double> state() = 0;
+};
+
+class AirfoilFrontEnd final : public FrontEnd {
+ public:
+  AirfoilFrontEnd(int nranks, bool big)
+      : app_(big ? airfoil::Airfoil::Options{} : airfoil_opts()) {
+    app_.enable_distributed(nranks, apl::graph::PartitionMethod::kBlock);
+  }
+  apl::mpisim::RecoveryDriver& dist() override { return *app_.distributed(); }
+  void step() override { app_.iteration(); }
+  std::vector<double> state() override { return app_.solution(); }
+
+ private:
+  airfoil::Airfoil app_;
+};
+
+class CloverFrontEnd final : public FrontEnd {
+ public:
+  CloverFrontEnd(int nranks, bool big) : app_(opts(big)) {
+    app_.enable_distributed(nranks);
+  }
+  apl::mpisim::RecoveryDriver& dist() override { return *app_.distributed(); }
+  void step() override { app_.step(); }
+  void resume_at(int step) override { app_.set_steps_taken(step); }
+  std::vector<double> state() override { return app_.density(); }
+
+ private:
+  static cloverleaf::Options opts(bool big) {
+    cloverleaf::Options o = clover_opts();
+    if (big) o.nx = o.ny = 16;
+    return o;
+  }
+  cloverleaf::CloverOps app_;
+};
+
+struct FrontEndCase {
+  std::string name;
+  /// Builds the app on `nranks` ranks; `big` picks a larger mesh, whose
+  /// checkpoints do not fit the default one.
+  std::unique_ptr<FrontEnd> (*make)(int nranks, bool big);
+};
+
+void PrintTo(const FrontEndCase& c, std::ostream* os) { *os << c.name; }
+
+class RankLadderTest : public ShrinkRecoverTest,
+                       public ::testing::WithParamInterface<FrontEndCase> {
+ protected:
+  std::unique_ptr<FrontEnd> make(int nranks, bool big = false) const {
+    return GetParam().make(nranks, big);
+  }
+  std::string base(const std::string& what) const {
+    return temp_base("ladder_" + GetParam().name + "_" + what);
+  }
+};
+
+/// Kills `victim` at exchange `at` (counted from the arming), steps until
+/// the failure surfaces, and disarms. Returns false if the run of `max`
+/// steps never reached that exchange.
+bool step_until_failure(FrontEnd& app, int victim, std::int64_t at, int max) {
+  Config cfg;
+  cfg.fail_rank = victim;
+  cfg.fail_at_exchange = at;
+  Injector::global().arm(cfg);
+  bool failed = false;
+  try {
+    for (int i = 0; i < max; ++i) app.step();
+  } catch (const apl::fault::RankFailure&) {
+    failed = true;
+  }
+  Injector::global().disarm();
+  return failed;
+}
+
+TEST_P(RankLadderTest, PolicyFailForbidsRecovery) {
   apl::resilience::Policy p;
   p.rank_failure = apl::resilience::OnRankFailure::kFail;
   apl::resilience::set_policy(p);
 
-  const std::string base = temp_base("shrink_policy_fail");
-  CheckpointStore(base).remove_files();
-  airfoil::Airfoil app(airfoil_opts());
-  app.enable_distributed(3, apl::graph::PartitionMethod::kBlock);
-  op2::Distributed& dist = *app.distributed();
-  CheckpointStore store(base);
-  dist.checkpoint(store, 0);
+  const std::string path = base("policy_fail");
+  CheckpointStore(path).remove_files();
+  auto app = make(3);
+  CheckpointStore store(path);
+  app->dist().checkpoint(store, 0);
 
-  Config cfg;
-  cfg.fail_rank = 1;
-  cfg.fail_at_exchange = 2;
-  Injector::global().arm(cfg);
-  bool failed = false;
-  try {
-    for (int i = 0; i < 4; ++i) app.iteration();
-  } catch (const apl::fault::RankFailure&) {
-    failed = true;
-    EXPECT_THROW(dist.recover_auto(store), LadderExhausted);
-  }
-  EXPECT_TRUE(failed);
+  ASSERT_TRUE(step_until_failure(*app, 1, 2, 4));
+  EXPECT_THROW(app->dist().recover_auto(store), LadderExhausted);
   store.remove_files();
 }
 
-TEST_F(ShrinkRecoverTest, PolicyReviveTakesTheRollbackPath) {
+TEST_P(RankLadderTest, PolicyReviveTakesTheRollbackPath) {
   apl::resilience::Policy p;
   p.rank_failure = apl::resilience::OnRankFailure::kRevive;
   apl::resilience::set_policy(p);
 
-  const std::string base = temp_base("shrink_policy_revive");
-  CheckpointStore(base).remove_files();
-  airfoil::Airfoil app(airfoil_opts());
-  app.enable_distributed(3, apl::graph::PartitionMethod::kBlock);
-  op2::Distributed& dist = *app.distributed();
-  CheckpointStore store(base);
+  const std::string path = base("policy_revive");
+  CheckpointStore(path).remove_files();
+  auto app = make(3);
+  apl::mpisim::RecoveryDriver& dist = app->dist();
+  CheckpointStore store(path);
   const int total = 5;
 
-  airfoil::Airfoil ref(airfoil_opts());
-  ref.enable_distributed(3, apl::graph::PartitionMethod::kBlock);
-  for (int i = 0; i < total; ++i) ref.iteration();
+  auto ref = make(3);
+  for (int i = 0; i < total; ++i) ref->step();
 
   Config cfg;
   cfg.fail_rank = 1;
@@ -339,32 +416,32 @@ TEST_F(ShrinkRecoverTest, PolicyReviveTakesTheRollbackPath) {
   while (it < total) {
     if (it == 0) dist.checkpoint(store, it);
     try {
-      app.iteration();
+      app->step();
       ++it;
     } catch (const apl::fault::RankFailure&) {
       it = static_cast<int>(dist.recover_auto(store));
+      app->resume_at(it);
     }
   }
   EXPECT_EQ(dist.num_ranks(), 3);    // revive keeps the communicator
   EXPECT_EQ(dist.shrinks_done(), 0);
-  EXPECT_EQ(app.solution(), ref.solution());
+  EXPECT_EQ(app->state(), ref->state());
   store.remove_files();
 }
 
-TEST_F(ShrinkRecoverTest, ShrinkBudgetSpentFallsBackToSingleRank) {
+TEST_P(RankLadderTest, ShrinkBudgetSpentFallsBackToSingleRank) {
   apl::resilience::Policy p;
   p.max_shrinks = 0;  // jump straight to the last rung
   apl::resilience::set_policy(p);
 
-  const std::string base = temp_base("shrink_fallback");
-  CheckpointStore(base).remove_files();
+  const std::string path = base("fallback");
+  CheckpointStore(path).remove_files();
   const int nranks = 3;
   const int total = 5;
 
-  airfoil::Airfoil app(airfoil_opts());
-  app.enable_distributed(nranks, apl::graph::PartitionMethod::kBlock);
-  op2::Distributed& dist = *app.distributed();
-  CheckpointStore store(base);
+  auto app = make(nranks);
+  apl::mpisim::RecoveryDriver& dist = app->dist();
+  CheckpointStore store(path);
 
   Config cfg;
   cfg.fail_rank = 0;
@@ -375,11 +452,12 @@ TEST_F(ShrinkRecoverTest, ShrinkBudgetSpentFallsBackToSingleRank) {
   while (it < total) {
     if (restored_step < 0 && it == 0) dist.checkpoint(store, it);
     try {
-      app.iteration();
+      app->step();
       ++it;
     } catch (const apl::fault::RankFailure&) {
       restored_step = static_cast<int>(dist.recover_auto(store));
       it = restored_step;
+      app->resume_at(it);
     }
   }
   Injector::global().disarm();
@@ -387,28 +465,115 @@ TEST_F(ShrinkRecoverTest, ShrinkBudgetSpentFallsBackToSingleRank) {
   EXPECT_EQ(dist.num_ranks(), 1);  // replicated single-rank execution
 
   // Still bitwise against a single-rank run restored from the checkpoint.
-  airfoil::Airfoil ref(airfoil_opts());
-  ref.enable_distributed(1, apl::graph::PartitionMethod::kBlock);
-  const auto s0 = static_cast<int>(ref.distributed()->recover(store));
-  for (int i = s0; i < total; ++i) ref.iteration();
-  EXPECT_EQ(app.solution(), ref.solution());
+  auto ref = make(1);
+  const auto s0 = static_cast<int>(ref->dist().recover(store));
+  ref->resume_at(s0);
+  for (int i = s0; i < total; ++i) ref->step();
+  EXPECT_EQ(app->state(), ref->state());
 
   // The ladder is now truly exhausted: another death cannot shrink below
   // one rank and the fallback has been reached.
-  Config again;
-  again.fail_rank = 0;
-  again.fail_at_exchange = 1;
-  Injector::global().arm(again);
-  bool failed = false;
-  try {
-    for (int i = 0; i < 3; ++i) app.iteration();
-  } catch (const apl::fault::RankFailure&) {
-    failed = true;
-    EXPECT_THROW(dist.recover_auto(store), LadderExhausted);
-  }
-  EXPECT_TRUE(failed);
+  ASSERT_TRUE(step_until_failure(*app, 0, 1, 3));
+  EXPECT_THROW(dist.recover_auto(store), LadderExhausted);
   store.remove_files();
 }
+
+TEST_P(RankLadderTest, MismatchedCheckpointFailsBeforeShrinking) {
+  const std::string bad_path = base("validate_bad");
+  const std::string good_path = base("validate_good");
+  CheckpointStore(bad_path).remove_files();
+  CheckpointStore(good_path).remove_files();
+  const int nranks = 3;
+  const int total = 4;
+
+  // A checkpoint written by a larger mesh than the app restoring it.
+  {
+    auto big = make(nranks, /*big=*/true);
+    CheckpointStore bad(bad_path);
+    big->dist().checkpoint(bad, 0);
+  }
+  auto app = make(nranks);
+  apl::mpisim::RecoveryDriver& dist = app->dist();
+  CheckpointStore good(good_path);
+  dist.checkpoint(good, 0);
+  ASSERT_TRUE(step_until_failure(*app, 1, 2, total));
+
+  CheckpointStore bad(bad_path);
+  try {
+    dist.recover_auto(bad);
+    FAIL() << "mismatched checkpoint layout was accepted";
+  } catch (const apl::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("checkpoint layout mismatch"), std::string::npos)
+        << msg;
+    // The diagnostic names the survivor count it was restoring at.
+    EXPECT_NE(msg.find("restoring at " + std::to_string(nranks - 1) + ")"),
+              std::string::npos)
+        << msg;
+  }
+  // Nothing was shrunk: the failed rank is still known, so the ladder can
+  // be walked again with the good checkpoint.
+  EXPECT_EQ(dist.num_ranks(), nranks);
+  EXPECT_EQ(dist.shrinks_done(), 0);
+  EXPECT_EQ(dist.comm().failed_ranks().size(), 1u);
+
+  const int s0 = static_cast<int>(dist.recover_auto(good));
+  EXPECT_EQ(s0, 0);
+  EXPECT_EQ(dist.num_ranks(), nranks - 1);
+  app->resume_at(s0);
+  for (int i = s0; i < total; ++i) app->step();
+
+  auto ref = make(nranks - 1);
+  ref->dist().recover(good);
+  ref->resume_at(s0);
+  for (int i = s0; i < total; ++i) ref->step();
+  EXPECT_EQ(app->state(), ref->state());
+  bad.remove_files();
+  good.remove_files();
+}
+
+TEST_P(RankLadderTest, OutcomeNamesTheRungARecoveryFailedOn) {
+  apl::resilience::Policy p;
+  p.rank_failure = apl::resilience::OnRankFailure::kRevive;
+  apl::resilience::set_policy(p);
+
+  const std::string path = base("outcome_revive");
+  CheckpointStore(path).remove_files();
+  auto app = make(3);
+  ASSERT_TRUE(step_until_failure(*app, 1, 2, 4));
+
+  // No checkpoint was ever written: the revive rung fails, and says so.
+  CheckpointStore empty(path);
+  const apl::resilience::Outcome out = app->dist().recover_outcome(empty);
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.rung, apl::resilience::Rung::kRevive);
+  EXPECT_EQ(out.error_kind, "Error");
+  EXPECT_FALSE(out.error.empty());
+
+  // Same verdict once the shrink budget is spent: the policy still asks
+  // for revive, so that is the rung that failed.
+  p.max_shrinks = 0;
+  apl::resilience::set_policy(p);
+  const apl::resilience::Outcome spent = app->dist().recover_outcome(empty);
+  EXPECT_FALSE(spent.ok);
+  EXPECT_EQ(spent.rung, apl::resilience::Rung::kRevive);
+  EXPECT_EQ(spent.error_kind, "Error");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, RankLadderTest,
+    ::testing::Values(
+        FrontEndCase{"airfoil",
+                     [](int n, bool big) -> std::unique_ptr<FrontEnd> {
+                       return std::make_unique<AirfoilFrontEnd>(n, big);
+                     }},
+        FrontEndCase{"cloverleaf",
+                     [](int n, bool big) -> std::unique_ptr<FrontEnd> {
+                       return std::make_unique<CloverFrontEnd>(n, big);
+                     }}),
+    [](const ::testing::TestParamInfo<FrontEndCase>& info) {
+      return info.param.name;
+    });
 
 // ---- satellite: named checkpoint-layout diagnostic ------------------------
 

@@ -109,21 +109,9 @@ std::string run_json(const std::string& name, const apl::Profile& prof,
   return os.str();
 }
 
-std::string chain_extra(const ops::ChainStats& cs) {
-  std::ostringstream os;
-  os << ",\n   \"chain\": {\"flushes\": " << cs.flushes
-     << ", \"loops\": " << cs.loops << ", \"tiles\": " << cs.tiles
-     << ", \"max_chain\": " << cs.max_chain
-     << ", \"eager_bytes\": " << cs.eager_bytes
-     << ", \"tiled_bytes\": " << cs.tiled_bytes
-     << ", \"traffic_saved_fraction\": " << cs.traffic_saved_fraction()
-     << "}";
-  return os.str();
-}
-
-/// op2 flavour: the unstructured chains additionally count verbatim
-/// (unfused fallback) replays, which the tiling gate requires to be zero.
-std::string chain_extra(const op2::ChainStats& cs) {
+/// Lazy-chain statistics of either front end; `verbatim` counts chains
+/// replayed with no tiled segment (the op2 tiling gate requires zero).
+std::string chain_extra(const apl::ChainStats& cs) {
   std::ostringstream os;
   os << ",\n   \"chain\": {\"flushes\": " << cs.flushes
      << ", \"loops\": " << cs.loops << ", \"tiles\": " << cs.tiles

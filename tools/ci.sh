@@ -52,10 +52,19 @@ OPAL_TRACE="$build/tier1.trace.json" ctest --test-dir "$build" -L tier1 \
 # Resilience stage: the retry + shrink ladder end to end. The kill-sweep
 # fault matrix (every rank killed across the exchange ordinals of Airfoil
 # and a lazy CloverLeaf chain, bitwise gate against a failure-free run at
-# the surviving rank count) runs as the ShrinkRecover tier-1 tests; the
-# bench_report gate replays one faulted run and checks the ledger columns.
-"$build/tests/test_resilience" --gtest_filter='ShrinkRecoverTest.*' \
-  --gtest_brief=1
+# the surviving rank count) runs as the ShrinkRecover tier-1 tests, the
+# rank-failure rungs of the shared recovery driver as RankLadderTest on
+# both front ends, and the shared in-loop checkpoint codec as the op2 and
+# ops CheckpointRestart suites; the bench_report gate replays one faulted
+# run and checks the ledger columns.
+resilience_tests() {
+  "$1/tests/test_resilience" \
+    --gtest_filter='ShrinkRecoverTest.*:FrontEnds/RankLadderTest.*' \
+    --gtest_brief=1
+  "$1/tests/test_op2" --gtest_filter='CheckpointRestart*' --gtest_brief=1
+  "$1/tests/test_ops" --gtest_filter='OpsCheckpointRestart*' --gtest_brief=1
+}
+resilience_tests "$build"
 "$build/tools/bench_report" --check-resilience
 
 # Serve stage: the multi-tenant chaos soak. The opal_serve example runs a
@@ -89,10 +98,10 @@ if [[ -n "${CI_SANITIZE:-}" ]]; then
         -DAPL_SANITIZE="$CI_SANITIZE"
   cmake --build "$san_build" -j "$(nproc)"
   ctest --test-dir "$san_build" -L tier1 --output-on-failure -j "$(nproc)"
-  # The kill sweep must stay clean under the sanitizer too (the ISSUE's
-  # APL_SANITIZE=thread configuration when CI_SANITIZE=thread).
-  "$san_build/tests/test_resilience" --gtest_filter='ShrinkRecoverTest.*' \
-    --gtest_brief=1
+  # The kill sweep, the ladder rungs and the checkpoint codec must stay
+  # clean under the sanitizer too (APL_SANITIZE=thread when
+  # CI_SANITIZE=thread).
+  resilience_tests "$san_build"
   # And so must the serve soak: watchdog vs worker vs submitter is exactly
   # the kind of race ThreadSanitizer exists to catch.
   "$san_build/examples/opal_serve" 2 3 > /dev/null
