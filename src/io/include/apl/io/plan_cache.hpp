@@ -39,6 +39,8 @@
 #include <string>
 #include <vector>
 
+#include "apl/trace.hpp"
+
 namespace apl::plan_cache {
 
 /// Canonical identity of one analysis result. `kind` separates IR
@@ -54,6 +56,10 @@ struct Key {
   std::uint32_t version = 0;   ///< IR format version of this kind
   std::string label;           ///< human-readable tag for diagnostics only
 };
+
+/// One digest of a key's topology, program, config and version: what the
+/// in-memory memos in front of the store are keyed by.
+std::uint64_t signature(const Key& key);
 
 // --- IR payload framing ----------------------------------------------------
 
@@ -127,6 +133,23 @@ class SectionReader {
   std::span<const std::uint8_t> b_;
   std::size_t off_ = 0;
 };
+
+/// Handler reading a section that holds exactly one T into *out.
+template <class T>
+SectionHandler pod_section(std::uint32_t tag, T* out) {
+  return {tag, [out](std::span<const std::uint8_t> b) {
+            SectionReader r(b);
+            return r.pod(out) && r.done();
+          }};
+}
+
+/// Handler reading a whole section as an array of T into *out.
+template <class T>
+SectionHandler array_section(std::uint32_t tag, std::vector<T>* out) {
+  return {tag, [out](std::span<const std::uint8_t> b) {
+            return SectionReader(b).rest(out);
+          }};
+}
 
 // --- the store -------------------------------------------------------------
 
@@ -208,5 +231,56 @@ class Store {
   Stats stats_;
   std::string last_diagnostic_;
 };
+
+// --- the cached-analysis lookup --------------------------------------------
+
+/// Trace spans of one lookup: `hit` wraps a load that decoded, `build` a
+/// fresh analysis; both carry `elements`. Each call site names its own
+/// (e.g. "chain_hit:op2chain" / "chain_analyze:op2chain").
+struct LookupSpans {
+  const char* hit_cat = trace::kPlan;
+  std::string hit;
+  const char* build_cat = trace::kPlan;
+  std::string build;
+  std::uint64_t elements = 0;
+};
+
+/// The one way an analysis result is obtained from the current store
+/// (DESIGN.md §12): load `key`, decode it, and on a miss — or on a blob
+/// that loads but does not decode, which counts as corrupt — build a fresh
+/// result and save it. In-memory memos sit in front of this; it runs once
+/// per result per process.
+///
+///   decode(std::span<const std::uint8_t>, std::string* diag) -> optional<T>
+///   build(trace::Span& build_span) -> T
+///   encode(const T&) -> byte vector
+template <class T, class Decode, class Build, class Encode>
+T load_or_build(const Key& key, const LookupSpans& spans, Decode&& decode,
+                Build&& build, Encode&& encode) {
+  Store& store = Store::current();
+  if (store.enabled()) {
+    if (std::optional<std::vector<std::uint8_t>> payload = store.load(key)) {
+      trace::Span span(spans.hit_cat, spans.hit);
+      std::string diag;
+      if (std::optional<T> got =
+              decode(std::span<const std::uint8_t>(*payload), &diag)) {
+        span.set_elements(spans.elements);
+        span.set_bytes(payload->size());
+        return std::move(*got);
+      }
+      // Container-valid but not a valid result for this input (a hash
+      // collision or a builder bug): surface it like corruption, rebuild.
+      store.note_corrupt(diag);
+    }
+  }
+  T fresh = [&] {
+    trace::Span span(spans.build_cat, spans.build);
+    T t = build(span);
+    span.set_elements(spans.elements);
+    return t;
+  }();
+  if (store.enabled()) store.save(key, encode(fresh));
+  return fresh;
+}
 
 }  // namespace apl::plan_cache

@@ -11,6 +11,7 @@
 #include "apl/fault.hpp"
 #include "apl/io/h5lite.hpp"
 #include "apl/scope.hpp"
+#include "apl/signature.hpp"
 #include "apl/trace.hpp"
 
 namespace apl::plan_cache {
@@ -51,6 +52,15 @@ std::string hex64(std::uint64_t v) {
 }
 
 }  // namespace
+
+std::uint64_t signature(const Key& key) {
+  apl::signature::Hasher h;
+  h.mix(key.topology);
+  h.mix(key.program);
+  h.mix(key.config);
+  h.pod(key.version);
+  return h.value();
+}
 
 void BlobWriter::section(std::uint32_t tag,
                          std::span<const std::uint8_t> bytes) {

@@ -179,47 +179,31 @@ const Plan& Context::plan_for(const PlanRequest& req) {
   }
 
   const double t0 = apl::now_seconds();
-  auto& store = apl::plan_cache::Store::current();
   apl::plan_cache::Key ck;
-  std::unique_ptr<Plan> plan;
-  if (store.enabled()) {
-    ck.kind = "op2";
-    ck.topology = topology_hash();
-    ck.program = program_hash(set, req.args, block_size);
-    // The plan's structure does not depend on the backend, but the
-    // execution strategy a process runs decides which plans it touches;
-    // keying on it keeps a warm run's hit count exactly its plan count.
-    apl::signature::Hasher cfg;
-    cfg.pod(static_cast<std::uint32_t>(backend()));
-    ck.config = cfg.value();
-    ck.version = kPlanIrVersion;
-    ck.label = req.loop;
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "plan_hit:" + req.loop);
-      std::string diag;
-      if (auto decoded = decode_plan(*payload, set.core_size(), &diag)) {
-        plan = std::make_unique<Plan>(std::move(*decoded));
-        span.set_elements(static_cast<std::uint64_t>(set.size()));
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid (e.g. a hash collision or a
-        // builder bug): surface it like corruption and rebuild fresh.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = plan == nullptr;
-  if (built) {
-    // Plan construction is a cache miss: span it so first-call cost is
-    // distinguishable from steady-state color rounds in the trace.
-    apl::trace::Span span(apl::trace::kLoop, "plan:" + req.loop);
-    plan = std::make_unique<Plan>(
-        detail::build_plan(*this, set, req.args, block_size));
-    span.set_elements(static_cast<std::uint64_t>(set.size()));
-  }
-  if (built && store.enabled()) {
-    store.save(ck, encode_plan(*plan));
-  }
+  ck.kind = "op2";
+  ck.topology = topology_hash();
+  ck.program = program_hash(set, req.args, block_size);
+  // The plan's structure does not depend on the backend, but the
+  // execution strategy a process runs decides which plans it touches;
+  // keying on it keeps a warm run's hit count exactly its plan count.
+  apl::signature::Hasher cfg;
+  cfg.pod(static_cast<std::uint32_t>(backend()));
+  ck.config = cfg.value();
+  ck.version = kPlanIrVersion;
+  ck.label = req.loop;
+  // The build span is a kLoop span, so first-call plan construction is
+  // distinguishable from steady-state color rounds in the trace.
+  auto plan = std::make_unique<Plan>(apl::plan_cache::load_or_build<Plan>(
+      ck,
+      {apl::trace::kPlan, "plan_hit:" + req.loop, apl::trace::kLoop,
+       "plan:" + req.loop, static_cast<std::uint64_t>(set.size())},
+      [&](std::span<const std::uint8_t> payload, std::string* diag) {
+        return decode_plan(payload, set.core_size(), diag);
+      },
+      [&](apl::trace::Span&) {
+        return detail::build_plan(*this, set, req.args, block_size);
+      },
+      encode_plan));
   add_plan_seconds(apl::now_seconds() - t0);
 
   // Audit both paths in guarded mode: a deserialized plan is input from
@@ -251,9 +235,9 @@ index_t Context::unique_targets(const Map& m) const {
 
 void Context::invalidate_plans() {
   plans_.clear();
-  tile_schedules_.clear();
-  // Every caller of this (renumbering, layout conversion, fault
-  // injection into map tables) changed what the topology hash covers.
+  // Renumbering and layout conversion change what the topology hash
+  // covers. Chain schedules are keyed on it, so they need no clearing:
+  // stale ones can never be hit again.
   topology_hash_.reset();
 }
 

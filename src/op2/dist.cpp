@@ -63,87 +63,73 @@ void Distributed::partition_sets(apl::graph::PartitionMethod method,
   // it persists in the plan cache like any other analysis result — which
   // makes post-shrink repartitioning of a previously seen (mesh, R-1)
   // pair a warm hit instead of a fresh partitioner run.
-  auto& pstore = apl::plan_cache::Store::current();
   apl::plan_cache::Key ck;
-  if (pstore.enabled()) {
-    ck.kind = "part";
-    ck.topology = global_->topology_hash();
-    apl::signature::Hasher prog;
-    prog.pod(static_cast<std::uint32_t>(method));
-    prog.pod(base.id());
-    if (!xy.empty()) prog.bulk<double>(xy);
-    ck.program = prog.value();
-    apl::signature::Hasher cfg;
-    cfg.pod(static_cast<std::int32_t>(nranks));
-    ck.config = cfg.value();
-    ck.version = kPartVersion;
-    ck.label = "part:" + base.name();
-  }
+  ck.kind = "part";
+  ck.topology = global_->topology_hash();
+  apl::signature::Hasher prog;
+  prog.pod(static_cast<std::uint32_t>(method));
+  prog.pod(base.id());
+  if (!xy.empty()) prog.bulk<double>(xy);
+  ck.program = prog.value();
+  apl::signature::Hasher cfg;
+  cfg.pod(static_cast<std::int32_t>(nranks));
+  ck.config = cfg.value();
+  ck.version = kPartVersion;
+  ck.label = "part:" + base.name();
 
-  std::vector<index_t> owner;
-  if (pstore.enabled() && base.size() > 0) {
-    if (auto payload = pstore.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "part_hit:" + base.name());
-      std::vector<index_t> got;
-      const apl::plan_cache::SectionHandler handlers[] = {
-          {kTagOwner, [&got](std::span<const std::uint8_t> b) {
-             apl::plan_cache::SectionReader r(b);
-             return r.rest<index_t>(&got) && r.done();
-           }}};
-      std::string diag = apl::plan_cache::decode_sections(*payload, handlers);
-      bool ok = diag.empty() &&
-                got.size() == static_cast<std::size_t>(base.size());
-      for (index_t o : got) ok = ok && o >= 0 && o < nranks;
-      if (ok) {
-        owner = std::move(got);
-        span.set_elements(static_cast<std::uint64_t>(base.size()));
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but not a partition of this (mesh, ranks):
-        // surface it like corruption and repartition fresh.
-        pstore.note_corrupt(diag.empty()
-                                ? "partition blob fails owner validation"
-                                : diag);
-      }
-    }
-  }
-
-  const bool computed = owner.empty() && base.size() > 0;
-  if (computed) {
-    apl::trace::Span span(apl::trace::kPlan, "part:" + base.name());
-    apl::graph::Partition p;
+  const auto decode = [&](std::span<const std::uint8_t> payload,
+                          std::string* diag)
+      -> std::optional<std::vector<index_t>> {
+    std::vector<index_t> got;
+    const apl::plan_cache::SectionHandler handlers[] = {
+        apl::plan_cache::array_section(kTagOwner, &got)};
+    *diag = apl::plan_cache::decode_sections(payload, handlers);
+    bool ok = diag->empty() &&
+              got.size() == static_cast<std::size_t>(base.size());
+    for (index_t o : got) ok = ok && o >= 0 && o < nranks;
+    if (ok) return got;
+    // Container-valid but not a partition of this (mesh, ranks).
+    if (diag->empty()) *diag = "partition blob fails owner validation";
+    return std::nullopt;
+  };
+  const auto build = [&](apl::trace::Span&) {
     switch (method) {
       case apl::graph::PartitionMethod::kBlock:
-        p = apl::graph::partition_block(base.size(), nranks);
-        break;
+        return apl::graph::partition_block(base.size(), nranks).part;
       case apl::graph::PartitionMethod::kRcb:
-        p = apl::graph::partition_rcb(xy, coords->dim(), base.size(), nranks);
+        return apl::graph::partition_rcb(xy, coords->dim(), base.size(),
+                                         nranks)
+            .part;
+      case apl::graph::PartitionMethod::kKway:
         break;
-      case apl::graph::PartitionMethod::kKway: {
-        // Adjacency of the base set through any map targeting it.
-        const Map* via = nullptr;
-        for (index_t m = 0; m < global_->num_maps(); ++m) {
-          if (&global_->map(m).to() == &base) {
-            via = &global_->map(m);
-            break;
-          }
-        }
-        apl::require(via != nullptr,
-                     "Distributed: k-way partitioning needs a map onto the "
-                     "base set");
-        const apl::graph::Csr adj = apl::graph::node_adjacency(
-            via->table(), via->arity(), via->from().size(), base.size());
-        p = apl::graph::partition_kway(adj, nranks);
+    }
+    // Adjacency of the base set through any map targeting it.
+    const Map* via = nullptr;
+    for (index_t m = 0; m < global_->num_maps(); ++m) {
+      if (&global_->map(m).to() == &base) {
+        via = &global_->map(m);
         break;
       }
     }
-    owner = std::move(p.part);
-    span.set_elements(static_cast<std::uint64_t>(base.size()));
-  }
-  if (computed && pstore.enabled()) {
+    apl::require(via != nullptr,
+                 "Distributed: k-way partitioning needs a map onto the "
+                 "base set");
+    const apl::graph::Csr adj = apl::graph::node_adjacency(
+        via->table(), via->arity(), via->from().size(), base.size());
+    return apl::graph::partition_kway(adj, nranks).part;
+  };
+  const auto encode = [](const std::vector<index_t>& owner) {
     apl::plan_cache::BlobWriter w;
     w.section_of<index_t>(kTagOwner, owner);
-    pstore.save(ck, w.bytes());
+    return w.take();
+  };
+  std::vector<index_t> owner;
+  if (base.size() > 0) {
+    owner = apl::plan_cache::load_or_build<std::vector<index_t>>(
+        ck,
+        {apl::trace::kPlan, "part_hit:" + base.name(), apl::trace::kPlan,
+         "part:" + base.name(), static_cast<std::uint64_t>(base.size())},
+        decode, build, encode);
   }
   set_dist_[base.id()].owner = std::move(owner);
 

@@ -43,9 +43,10 @@ struct DeviceReport {
 /// chain through the sparse-tiling inspector/executor (op2/lazy.hpp) —
 /// the unstructured-mesh counterpart of the OPS lazy engine
 /// (ops/lazy.hpp); set_tiling()/set_tile_size() control the fusion.
-class Context : public apl::exec::ExecContext {
+class Context : public apl::chain::LazyContext<LoopRecord, ChainRun> {
 public:
-  Context() = default;
+  Context()
+      : LazyContext({"op2", "chain_flush:op2chain", "chain_resume:op2chain"}) {}
 
   // ---- declaration API (mirrors op_decl_set / op_decl_map / op_decl_dat)
   Set& decl_set(index_t size, const std::string& name);
@@ -60,7 +61,7 @@ public:
     auto dat = std::make_unique<Dat<T>>(
         static_cast<index_t>(dats_.size()), set, dim, init, name);
     Dat<T>& ref = *dat;
-    ref.attach_context(this, &pending_flush_);
+    ref.attach_context(this, pending_flag());
     dats_.push_back(std::move(dat));
     topology_hash_.reset();
     return ref;
@@ -85,39 +86,19 @@ public:
   bool staging() const { return staging_; }
   void set_staging(bool on) { staging_ = on; }
 
-  // ---- lazy loop-chain execution (op2/lazy.hpp)
-  /// Turning lazy off flushes (base behavior), and turning it on/off
-  /// keeps the dats' pending-flush flag coherent.
-  void set_lazy(bool on) override {
-    apl::exec::ExecContext::set_lazy(on);
-    update_pending();
-  }
+  // ---- lazy loop-chain execution (op2/lazy.hpp; queue, flush and
+  // park/resume are the shared core in apl/chain.hpp)
   /// Allow/forbid cross-loop sparse tiling; with tiling off (or when the
-  /// traffic model vetoes fusion) lazy chains replay verbatim.
+  /// traffic model vetoes fusion) lazy chains replay verbatim. Chain
+  /// schedules are keyed on this and on tile_size(), so changing either
+  /// plans afresh without discarding anything.
   bool tiling() const { return tiling_; }
-  void set_tiling(bool on) {
-    tiling_ = on;
-    invalidate_plans();
-  }
+  void set_tiling(bool on) { tiling_ = on; }
   /// Elements per tile; <= 0 sizes tiles automatically from the chain's
   /// cache footprint. An explicit size also overrides the profitability
   /// fallback (tests force tiny tiles on tiny meshes).
   index_t tile_size() const { return tile_size_; }
-  void set_tile_size(index_t elems) {
-    tile_size_ = elems;
-    invalidate_plans();
-  }
-  /// par_loop calls this instead of executing when a record is queued.
-  void enqueue(LoopRecord rec);
-  /// True while the executor is draining the chain (par_loop then runs
-  /// eagerly as a chain member instead of re-enqueueing itself).
-  bool chain_executing() const { return chain_executing_; }
-  std::size_t chain_length() const { return chain_.size(); }
-  /// True when an interrupted chain is parked awaiting the next flush.
-  bool chain_resumable() const { return resume_ != nullptr; }
-  /// Parks the remainder of an interrupted chain (tile executor only).
-  void store_resume(ChainResume resume);
-  const ChainStats& chain_stats() const { return chain_stats_; }
+  void set_tile_size(index_t elems) { tile_size_ = elems; }
 
   /// Team for the threaded color-round tile executor. Non-owning; the
   /// pool must outlive every flush of this context, and must not be a
@@ -198,14 +179,14 @@ public:
   /// Invalidates all cached plans (called after renumbering/layout change).
   void invalidate_plans();
 
-protected:
-  /// Flush point: completes any parked resume, then runs the queued chain
-  /// through the inspector/executor. Reentrant calls (a chain member
-  /// touching a dat) are no-ops.
-  void do_flush() override;
-
 private:
-  void update_pending();
+  // Lazy-core hooks (op2/lazy.cpp).
+  ChainRun plan_chain(const std::vector<LoopRecord>& chain,
+                      apl::chain::Charge& charge) override;
+  void run_step(ChainRun& run, std::size_t i,
+                const std::vector<LoopRecord>& chain,
+                ChainStats& stats) override;
+  void account_loop(const LoopRecord& rec) override;
 
   struct PlanKey {
     std::string loop;
@@ -226,15 +207,9 @@ private:
   mutable std::optional<std::uint64_t> topology_hash_;
   Checkpointer* checkpointer_ = nullptr;
 
-  // Lazy loop-chain state (op2/lazy.hpp). `pending_flush_` is the flag
-  // every declared dat watches from touch(); it is true exactly when a
-  // flush would run work.
-  std::vector<LoopRecord> chain_;
+  // Chain schedules by signature; never evicted (the signature covers
+  // the topology hash), so parked runs may point into it.
   std::map<std::uint64_t, std::unique_ptr<TileSchedule>> tile_schedules_;
-  ChainStats chain_stats_;
-  std::unique_ptr<ChainResume> resume_;
-  bool chain_executing_ = false;
-  bool pending_flush_ = false;
   bool tiling_ = true;
   index_t tile_size_ = 0;
   apl::ThreadPool* tile_team_ = nullptr;  ///< non-owning executor override

@@ -58,9 +58,10 @@
 // span per flush and a kTile span per tile slice, and respects
 // apl::cancel tokens at every tile boundary: a deadline/cancel (or a
 // scheduler preemption request) takes effect between tiles, the
-// remainder of the schedule is parked as a ChainResume on the context,
-// and the next flush completes it exactly — the queue is never left
-// half-flushed.
+// remainder of the schedule is parked on the context, and the next flush
+// completes it exactly — the queue is never left half-flushed. The queue,
+// the flush driver and the park/resume machinery are the shared lazy
+// core (apl/chain.hpp); this file supplies the inspector and the steps.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +71,7 @@
 #include <string>
 #include <vector>
 
-#include "apl/chain_stats.hpp"
+#include "apl/chain.hpp"
 #include "op2/arg.hpp"
 #include "op2/mesh.hpp"
 
@@ -136,23 +137,21 @@ struct ChainPlanRequest {
   const std::vector<LoopRecord>* chain = nullptr;
 };
 
-/// A chain flush interrupted at a tile boundary (apl::cancel deadline /
-/// user cancel / preemption): the not-yet-executed remainder. Parked on
-/// the context; the next flush point completes exactly the remaining
-/// tiles, so cancellation never leaves a chain half-flushed. The records
-/// still reference the enqueue-time argument storage (frozen kRead
-/// globals excepted), so a resume must happen while that storage lives —
-/// drivers that destroy the job instead (apl::serve retries from a
-/// checkpoint) simply discard the context, resume state and all.
-struct ChainResume {
-  std::vector<LoopRecord> chain;
-  TileSchedule sched;
-  /// Next tile (fused) / next record (unfused) / next color round (when
-  /// `rounds` — the chain parked at a round boundary of the threaded
-  /// executor and resumes round-wise, degrading to serial-within-rounds
-  /// if the team has been disabled meanwhile).
-  std::size_t next = 0;
-  bool rounds = false;
+/// One flushed chain as the shared flush driver (apl/chain.hpp) runs it:
+/// the schedule and how it is cut into steps — a record each when the
+/// chain replays verbatim, a tile each when fused, a color round each
+/// when fused chains run through the tile team. A parked remainder resumes
+/// through the same walk; a round walk whose team has been disabled
+/// meanwhile runs its rounds serially, still exact.
+struct ChainRun {
+  enum class Walk { kRecords, kTiles, kRounds };
+  /// Points into the context's schedule memo, which lives as long as the
+  /// context (entries are keyed by signature and never evicted).
+  const TileSchedule* sched = nullptr;
+  Walk walk = Walk::kRecords;
+  std::vector<std::vector<index_t>> rounds;  ///< tiles per color (kRounds)
+  std::size_t steps() const;
+  apl::chain::Unit unit() const;
 };
 
 /// Serializes a tile schedule into the section-framed Plan IR payload
@@ -190,19 +189,6 @@ namespace detail {
 /// this only from tests and benches.
 TileSchedule build_tile_schedule(const Context& ctx,
                                  const std::vector<LoopRecord>& chain);
-
-/// Executes a flushed chain: obtains the schedule via Context::plan_for
-/// (memoized per signature, then the persistent cache, then the
-/// inspector), runs it tile by tile with cancellation/preemption checks
-/// at every tile boundary, and accumulates per-loop profile stats plus
-/// chain stats. On interruption the remainder is parked on the context
-/// before the apl::cancel::Cancelled propagates.
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats);
-
-/// Completes a parked ChainResume (throws again, re-parking, if the
-/// token is still cancelled).
-void resume_chain(Context& ctx, ChainResume resume, ChainStats& stats);
 
 }  // namespace detail
 

@@ -14,19 +14,13 @@
 #include <vector>
 
 #include "apl/aligned.hpp"
+#include "apl/chain.hpp"
 #include "apl/error.hpp"
 #include "op2/access.hpp"
 
 namespace op2 {
 
 class Context;
-
-namespace detail {
-/// Defined in lazy.cpp: flushes the context's queued loop chain. Raw
-/// data access is a flush point (op2/lazy.hpp); DatBase::touch() routes
-/// here so mesh.hpp need not see the Context definition.
-void flush_pending(Context& ctx);
-}  // namespace detail
 
 using index_t = std::int32_t;
 
@@ -131,15 +125,13 @@ public:
   /// drains the owning context's queued loops, so lazy execution is
   /// invisible to callers. Cheap when nothing is pending: one flag load.
   void touch() const {
-    if (pending_flush_ != nullptr && *pending_flush_) {
-      detail::flush_pending(*ctx_);
-    }
+    if (pending_ != nullptr && pending_->set) pending_->owner->flush();
   }
-  /// Wired by Context::decl_dat; `pending` points at the context's
+  /// Wired by Context::decl_dat; `pending` is the context's
   /// has-queued-work flag.
-  void attach_context(Context* ctx, const bool* pending) {
+  void attach_context(Context* ctx, const apl::chain::Pending* pending) {
     ctx_ = ctx;
-    pending_flush_ = pending;
+    pending_ = pending;
   }
   Context* context() const { return ctx_; }
 
@@ -152,7 +144,7 @@ protected:
   std::string name_;
   Layout layout_ = Layout::kAoS;
   Context* ctx_ = nullptr;
-  const bool* pending_flush_ = nullptr;
+  const apl::chain::Pending* pending_ = nullptr;
 };
 
 /// A typed dataset: dim components of T per element of a set.

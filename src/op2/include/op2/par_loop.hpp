@@ -150,42 +150,6 @@ void debug_verify(const ArgGbl<T>& g, const std::vector<T>& snap,
 
 // ---- lazy-chain enqueue support (op2/lazy.hpp) -----------------------------
 
-// A queued loop must not observe later mutations of kRead globals (the
-// caller may reuse the variable before the flush), so enqueue snapshots
-// them; reduction targets are left live — a reduction forces an immediate
-// flush anyway. Same freeze/thaw pattern as the OPS lazy engine.
-template <class T>
-struct GblSnapshot {
-  ArgGbl<T> g;
-  std::vector<T> snap;  ///< non-empty only for kRead globals
-};
-
-template <class T>
-ArgDat<T> freeze(const ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-GblSnapshot<T> freeze(const ArgGbl<T>& g) {
-  GblSnapshot<T> s{g, {}};
-  if (g.acc == apl::exec::Access::kRead) {
-    s.snap.assign(g.data, g.data + g.dim);
-  }
-  return s;
-}
-
-// thaw re-points the frozen global at its snapshot on *every* call: the
-// frozen tuple is copied around with its lambda, and the data pointer must
-// chase the copy that is actually executing.
-template <class T>
-ArgDat<T>& thaw(ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-ArgGbl<T>& thaw(GblSnapshot<T>& s) {
-  if (!s.snap.empty()) s.g.data = s.snap.data();
-  return s.g;
-}
-
 /// False when packed (SIMD) execution of a slice could pair elements that
 /// conflict through a dat some argument reads live (not the kInc
 /// zero-identity) while another writes it with an indirect side — the
@@ -605,7 +569,7 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
       rec.infos = infos;
       rec.run_full = [&ctx, name, sp = &set, kernel = kernel,
                       frozen =
-                          std::make_tuple(detail::freeze(args)...)]() mutable {
+                          std::make_tuple(apl::chain::freeze(args)...)]() mutable {
         std::apply(
             [&](auto&... fz) {
               auto run = [&](auto&... as) {
@@ -641,13 +605,13 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // lifetime rule.
                 ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
               };
-              run(detail::thaw(fz)...);
+              run(apl::chain::thaw(fz)...);
             },
             frozen);
       };
       rec.run_slice = [&ctx, name, pack_safe = rec.simd_pack_safe,
                        kernel = kernel,
-                       frozen = std::make_tuple(detail::freeze(args)...)](
+                       frozen = std::make_tuple(apl::chain::freeze(args)...)](
                           index_t lo, index_t hi) {
         // Per-call copy of the frozen tuple: the color-round executor may
         // run slices of the same loop concurrently on team members, and
@@ -675,18 +639,11 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                 // would otherwise race on the map and lose increments.
                 ctx.profile().add_seconds(name, apl::now_seconds() - t0);
               };
-              run(detail::thaw(fz)...);
+              run(apl::chain::thaw(fz)...);
             },
             thawed);
       };
-      const bool reduction =
-          std::any_of(infos.begin(), infos.end(), [](const ArgInfo& a) {
-            return a.is_gbl && a.acc != apl::exec::Access::kRead;
-          });
-      ctx.enqueue(std::move(rec));
-      // The caller reads the reduction result as soon as par_loop
-      // returns, so the chain — this loop included — runs now.
-      if (reduction) ctx.flush();
+      ctx.enqueue(std::move(rec));  // flushes now if it carries a reduction
       return;
     }
   }

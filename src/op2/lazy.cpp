@@ -1,7 +1,7 @@
 // Lazy loop-chain engine for OP2: the sparse-tiling inspector, the Plan IR
-// codec for tile schedules, the race audit, and the tile executor with
-// cancellation/preemption at tile boundaries. See op2/lazy.hpp for the
-// algorithm and the fusion legality rule.
+// codec for tile schedules, the race audit, and the steps the shared flush
+// driver (apl/chain.hpp) runs: records, tiles or color rounds. See
+// op2/lazy.hpp for the algorithm and the fusion legality rule.
 
 #include "op2/lazy.hpp"
 
@@ -13,7 +13,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "apl/cancel.hpp"
 #include "apl/error.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "apl/signature.hpp"
@@ -36,6 +35,22 @@ constexpr index_t kMinTileElems = 64;
 
 index_t resolve_entry(const Context& ctx, const ArgInfo& a, index_t e) {
   return a.indirect() ? ctx.map(a.map_id).at(e, a.idx) : e;
+}
+
+/// Calls fn(a, x) for every dat access the elements of tile t make, loops
+/// in chain order; x is the entry the access touches.
+template <class Fn>
+void for_each_tile_access(const Context& ctx,
+                          const std::vector<LoopRecord>& chain,
+                          const TileSchedule& s, index_t t, Fn&& fn) {
+  for (std::size_t l = 0; l < chain.size(); ++l) {
+    for (index_t e = s.bounds[l][t]; e < s.bounds[l][t + 1]; ++e) {
+      for (const ArgInfo& a : chain[l].infos) {
+        if (a.is_gbl) continue;
+        fn(a, static_cast<std::size_t>(resolve_entry(ctx, a, e)));
+      }
+    }
+  }
 }
 
 int traffic_passes(apl::exec::Access acc) {
@@ -143,35 +158,21 @@ void color_tiles(const Context& ctx, const std::vector<LoopRecord>& chain,
   for (index_t t = 0; t < T; ++t) {
     // Check phase: the level every conflict with earlier tiles forces.
     std::int32_t level = 0;
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
-      for (index_t e = s.bounds[l][t]; e < s.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          DatState& st = states[a.dat_id];
-          const auto x =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          level = std::max(level, st.wlev[x] + 1);
-          if (writes(a.acc)) level = std::max(level, st.rlev[x] + 1);
-        }
-      }
-    }
+    for_each_tile_access(ctx, chain, s, t, [&](const ArgInfo& a,
+                                               std::size_t x) {
+      const DatState& st = states[a.dat_id];
+      level = std::max(level, st.wlev[x] + 1);
+      if (writes(a.acc)) level = std::max(level, st.rlev[x] + 1);
+    });
     // Commit phase: this tile's accesses constrain later tiles. Separate
     // from the check so a tile's own earlier loops never push its later
     // loops to a higher level (intra-tile chain order handles those).
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
-      for (index_t e = s.bounds[l][t]; e < s.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          DatState& st = states[a.dat_id];
-          const auto x =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          if (reads(a.acc)) st.rlev[x] = std::max(st.rlev[x], level);
-          if (writes(a.acc)) st.wlev[x] = std::max(st.wlev[x], level);
-        }
-      }
-    }
+    for_each_tile_access(ctx, chain, s, t, [&](const ArgInfo& a,
+                                               std::size_t x) {
+      DatState& st = states[a.dat_id];
+      if (reads(a.acc)) st.rlev[x] = std::max(st.rlev[x], level);
+      if (writes(a.acc)) st.wlev[x] = std::max(st.wlev[x], level);
+    });
     s.colors[t] = level;
     ncolors = std::max(ncolors, level + 1);
   }
@@ -247,31 +248,6 @@ std::uint64_t chain_config_hash(const Context& ctx) {
 
 // --- executor --------------------------------------------------------------
 
-/// Cancellation / preemption check between tiles (or, for the threaded
-/// executor, between color rounds — always on the submitting thread, so
-/// no round is ever half-started). On any interruption the
-/// not-yet-executed remainder (from `next` on) is parked on the context
-/// *before* the exception propagates, so the chain is never half-lost:
-/// the next flush point completes exactly the remaining tiles.
-void tile_boundary(Context& ctx, const TileSchedule& sched,
-                   std::vector<LoopRecord>& chain, std::size_t next,
-                   bool rounds = false) {
-  try {
-    apl::cancel::point(rounds ? "op2::round" : "op2::tile");
-    if (apl::cancel::yield_requested()) {
-      throw apl::cancel::Cancelled(
-          apl::cancel::Reason::kPreempt,
-          std::string("op2 chain preempted at ") +
-              (rounds ? "round" : "tile") + " boundary " +
-              std::to_string(next) +
-              " (remainder parked, next flush resumes)");
-    }
-  } catch (...) {
-    ctx.store_resume(ChainResume{std::move(chain), sched, next, rounds});
-    throw;
-  }
-}
-
 void run_one_loop_slice(const LoopRecord& rec, index_t lo, index_t hi) {
   if (lo < hi) rec.run_slice(lo, hi);
 }
@@ -298,25 +274,6 @@ void run_tile(const TileSchedule& sched, const std::vector<LoopRecord>& chain,
     if (t + 1 < sched.ntiles && hi > lo) --hi;
 #endif
     run_one_loop_slice(chain[l], lo, hi);
-  }
-}
-
-/// Runs a schedule from position `start` (tile index when fused, record
-/// index when unfused), checking the cancel token at every boundary —
-/// including before the first one, so a pre-armed deadline parks the
-/// whole chain without running anything.
-void run_from(Context& ctx, const TileSchedule& sched,
-              std::vector<LoopRecord>& chain, std::size_t start) {
-  if (!sched.fused) {
-    for (std::size_t l = start; l < chain.size(); ++l) {
-      tile_boundary(ctx, sched, chain, l);
-      chain[l].run_full();
-    }
-    return;
-  }
-  for (auto t = static_cast<index_t>(start); t < sched.ntiles; ++t) {
-    tile_boundary(ctx, sched, chain, static_cast<std::size_t>(t));
-    run_tile(sched, chain, t);
   }
 }
 
@@ -347,52 +304,35 @@ std::vector<std::vector<index_t>> round_tiles(const TileSchedule& sched) {
   return rounds;
 }
 
-/// The threaded executor: ascending color rounds from round `start`,
-/// each round's tiles distributed over the context's tile team
-/// (contiguous chunks in ascending tile order) with the run_team barrier
-/// closing the round. Legality rests on the layered coloring (see
-/// color_tiles): every conflict crosses a round boundary, so rounds are
-/// data-race-free internally, and the barrier orders them — bitwise
-/// identity with the serial walk follows. Cancellation and preemption
-/// are checked at round boundaries only (on the submitting thread);
-/// interruption parks a round-wise ChainResume. Should the team be
-/// disabled by the time a parked chain resumes, rounds degrade to serial
-/// execution in the same order — still exact.
-void run_rounds_from(Context& ctx, const TileSchedule& sched,
-                     std::vector<LoopRecord>& chain, std::size_t start,
-                     ChainStats& stats) {
-  const std::vector<std::vector<index_t>> rounds = round_tiles(sched);
-  for (std::size_t c = start; c < rounds.size(); ++c) {
-    tile_boundary(ctx, sched, chain, c, /*rounds=*/true);
-    const std::vector<index_t>& tiles = rounds[c];
-    if (tiles.empty()) continue;  // decoded schedules may have color gaps
-    apl::trace::Span round_span(apl::trace::kColor, "chain_round:op2chain");
-    round_span.set_index(static_cast<std::int64_t>(c));
-    round_span.set_elements(tiles.size());
-    ++stats.rounds;
-    if (ctx.tile_team_enabled()) {
-      ctx.tile_team().parallel_for(
-          tiles.size(),
-          [&](std::size_t lo, std::size_t hi, std::size_t /*tid*/) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              run_tile(sched, chain, tiles[i]);
-            }
-          });
-    } else {
-      for (const index_t t : tiles) run_tile(sched, chain, t);
-    }
-  }
-}
-
-/// Per-loop profile accounting, deferred to chain completion so an
-/// interrupted chain never double-counts: whichever flush finishes the
-/// chain (first run or a resume) accounts each loop exactly once. The
-/// run lambdas themselves only accumulate kernel seconds.
-void account_chain(Context& ctx, const std::vector<LoopRecord>& chain) {
-  for (const LoopRecord& rec : chain) {
-    apl::LoopStats& st = ctx.profile().stats(rec.name);
-    ++st.calls;
-    detail::account_traffic(ctx, rec.name, *rec.set, rec.infos, st);
+/// One color round of the threaded executor: the round's tiles are
+/// distributed over the context's tile team (contiguous chunks in
+/// ascending tile order) and the run_team barrier closes the round.
+/// Legality rests on the layered coloring (see color_tiles): every
+/// conflict crosses a round boundary, so rounds are data-race-free
+/// internally, and the barrier orders them — bitwise identity with the
+/// serial walk follows. The shared driver checks cancellation and
+/// preemption between rounds, on the submitting thread. Should the team
+/// be disabled by the time a parked chain resumes, the round runs
+/// serially in the same order — still exact.
+void run_round(const Context& ctx, const TileSchedule& sched,
+               const std::vector<LoopRecord>& chain,
+               const std::vector<index_t>& tiles, std::size_t c,
+               ChainStats& stats) {
+  if (tiles.empty()) return;  // decoded schedules may have color gaps
+  apl::trace::Span round_span(apl::trace::kColor, "chain_round:op2chain");
+  round_span.set_index(static_cast<std::int64_t>(c));
+  round_span.set_elements(tiles.size());
+  ++stats.rounds;
+  if (ctx.tile_team_enabled()) {
+    ctx.tile_team().parallel_for(
+        tiles.size(),
+        [&](std::size_t lo, std::size_t hi, std::size_t /*tid*/) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            run_tile(sched, chain, tiles[i]);
+          }
+        });
+  } else {
+    for (const index_t t : tiles) run_tile(sched, chain, t);
   }
 }
 
@@ -432,36 +372,17 @@ std::optional<TileSchedule> decode_tile_schedule(
   };
 
   ChainShapeRec shape;
-  bool have_shape = false;
   std::vector<index_t> loop_n;
   std::vector<index_t> flat;
   std::vector<std::int32_t> colors;
   const apl::plan_cache::SectionHandler table[] = {
-      {kSecChainShape,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         have_shape = r.pod(&shape) && r.done();
-         return have_shape;
-       }},
-      {kSecLoopSizes,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&loop_n);
-       }},
-      {kSecBounds,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&flat);
-       }},
-      {kSecColors,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&colors);
-       }},
+      apl::plan_cache::pod_section(kSecChainShape, &shape),
+      apl::plan_cache::array_section(kSecLoopSizes, &loop_n),
+      apl::plan_cache::array_section(kSecBounds, &flat),
+      apl::plan_cache::array_section(kSecColors, &colors),
   };
   const std::string err = apl::plan_cache::decode_sections(payload, table);
   if (!err.empty()) return reject(err);
-  if (!have_shape) return reject("missing chain shape section");
 
   if (shape.num_loops != chain.size() || loop_n.size() != chain.size()) {
     return reject("planned for a different chain length");
@@ -563,15 +484,16 @@ std::string audit_tile_schedule(const Context& ctx,
   // exactly the wavefront constraint the inspector enforced, recomputed
   // from the maps — a decoded-from-disk schedule gets the same proof as a
   // fresh one.
-  std::map<index_t, std::vector<index_t>> last_w, last_r;
-  auto entry_state = [&](std::map<index_t, std::vector<index_t>>& m,
-                         const ArgInfo& a) -> std::vector<index_t>& {
+  // Per-dat, per-entry state (latest tile, then highest color), -1 fresh.
+  auto entries = [&](std::map<index_t, std::vector<index_t>>& m,
+                     const ArgInfo& a) -> std::vector<index_t>& {
     auto& v = m[a.dat_id];
     if (v.empty()) {
       v.assign(static_cast<std::size_t>(ctx.dat(a.dat_id).set().size()), -1);
     }
     return v;
   };
+  std::map<index_t, std::vector<index_t>> last_w, last_r;
   for (std::size_t l = 0; l < chain.size(); ++l) {
     const LoopRecord& rec = chain[l];
     for (index_t t = 0; t < sched.ntiles; ++t) {
@@ -579,8 +501,8 @@ std::string audit_tile_schedule(const Context& ctx,
         for (const ArgInfo& a : rec.infos) {
           if (a.is_gbl) continue;
           const index_t x = resolve_entry(ctx, a, e);
-          auto& lw = entry_state(last_w, a);
-          auto& lr = entry_state(last_r, a);
+          auto& lw = entries(last_w, a);
+          auto& lr = entries(last_r, a);
           const auto xi = static_cast<std::size_t>(x);
           if (reads(a.acc) && lw[xi] > t) {
             return "loop '" + rec.name + "' dat '" +
@@ -616,66 +538,38 @@ std::string audit_tile_schedule(const Context& ctx,
   if (sched.colors.size() != static_cast<std::size_t>(sched.ntiles)) {
     return "color table has wrong size";
   }
-  std::map<index_t, std::vector<std::int32_t>> wcol, rcol;
-  auto color_state = [&](std::map<index_t, std::vector<std::int32_t>>& m,
-                         const ArgInfo& a) -> std::vector<std::int32_t>& {
-    auto& v = m[a.dat_id];
-    if (v.empty()) {
-      v.assign(static_cast<std::size_t>(ctx.dat(a.dat_id).set().size()), -1);
-    }
-    return v;
-  };
+  std::map<index_t, std::vector<index_t>> wcol, rcol;
   for (index_t t = 0; t < sched.ntiles; ++t) {
     const std::int32_t c = sched.colors[t];
     if (c < 0 || c >= sched.ncolors) {
       return "tile " + std::to_string(t) + " color out of range";
     }
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
-      for (index_t e = sched.bounds[l][t]; e < sched.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          const index_t x = resolve_entry(ctx, a, e);
-          const auto xi = static_cast<std::size_t>(x);
-          const std::int32_t w = color_state(wcol, a)[xi];
-          const std::int32_t r = color_state(rcol, a)[xi];
-          if (reads(a.acc) && w >= c) {
-            return "tile " + std::to_string(t) + " (color " +
-                   std::to_string(c) + ") reads dat '" +
-                   ctx.dat(a.dat_id).name() + "' entry " + std::to_string(x) +
-                   " written by an earlier tile of color " +
-                   std::to_string(w) +
-                   " — round execution would not order the producer first";
-          }
-          if (writes(a.acc) && std::max(w, r) >= c) {
-            return "tile " + std::to_string(t) + " (color " +
-                   std::to_string(c) + ") writes dat '" +
-                   ctx.dat(a.dat_id).name() + "' entry " + std::to_string(x) +
-                   " still live in an earlier tile of color " +
-                   std::to_string(std::max(w, r)) +
-                   " — round execution would race or reorder the conflict";
-          }
-        }
+    std::string diag;
+    for_each_tile_access(ctx, chain, sched, t, [&](const ArgInfo& a,
+                                                   std::size_t x) {
+      const std::int32_t w = entries(wcol, a)[x];
+      const std::int32_t r = entries(rcol, a)[x];
+      if (!diag.empty()) return;
+      if (reads(a.acc) && w >= c) {
+        diag = "tile " + std::to_string(t) + " (color " + std::to_string(c) +
+               ") reads dat '" + ctx.dat(a.dat_id).name() + "' entry " +
+               std::to_string(x) + " written by an earlier tile of color " +
+               std::to_string(w) +
+               " — round execution would not order the producer first";
+      } else if (writes(a.acc) && std::max(w, r) >= c) {
+        diag = "tile " + std::to_string(t) + " (color " + std::to_string(c) +
+               ") writes dat '" + ctx.dat(a.dat_id).name() + "' entry " +
+               std::to_string(x) + " still live in an earlier tile of color " +
+               std::to_string(std::max(w, r)) +
+               " — round execution would race or reorder the conflict";
       }
-    }
-    for (std::size_t l = 0; l < chain.size(); ++l) {
-      const LoopRecord& rec = chain[l];
-      for (index_t e = sched.bounds[l][t]; e < sched.bounds[l][t + 1]; ++e) {
-        for (const ArgInfo& a : rec.infos) {
-          if (a.is_gbl) continue;
-          const auto xi =
-              static_cast<std::size_t>(resolve_entry(ctx, a, e));
-          if (reads(a.acc)) {
-            auto& v = color_state(rcol, a);
-            v[xi] = std::max(v[xi], c);
-          }
-          if (writes(a.acc)) {
-            auto& v = color_state(wcol, a);
-            v[xi] = std::max(v[xi], c);
-          }
-        }
-      }
-    }
+    });
+    if (!diag.empty()) return diag;
+    for_each_tile_access(ctx, chain, sched, t, [&](const ArgInfo& a,
+                                                   std::size_t x) {
+      if (reads(a.acc)) entries(rcol, a)[x] = std::max(entries(rcol, a)[x], c);
+      if (writes(a.acc)) entries(wcol, a)[x] = std::max(entries(wcol, a)[x], c);
+    });
   }
   return "";
 }
@@ -808,100 +702,69 @@ TileSchedule build_tile_schedule(const Context& ctx,
   return s;
 }
 
-// --- chain execution -------------------------------------------------------
-
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats) {
-  if (chain.empty()) return;
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_flush:op2chain");
-  chain_span.set_elements(chain.size());
-
-  ++stats.flushes;
-  stats.loops += chain.size();
-  stats.max_chain = std::max<std::uint64_t>(stats.max_chain, chain.size());
-
-  ChainPlanRequest req;
-  req.chain = &chain;
-  const TileSchedule& sched = ctx.plan_for(req);
-  stats.eager_bytes += sched.eager_bytes;
-  stats.tiled_bytes += sched.fused ? sched.fused_bytes : sched.eager_bytes;
-  if (sched.fused) {
-    stats.tiles += static_cast<std::uint64_t>(sched.ntiles);
-    chain_span.set_index(static_cast<std::int64_t>(sched.ntiles));
-  } else {
-    stats.tiles += chain.size();
-    ++stats.verbatim;
-  }
-
-  if (sched.fused && ctx.tile_team_enabled() && rounds_eligible(chain)) {
-    run_rounds_from(ctx, sched, chain, 0, stats);
-  } else {
-    run_from(ctx, sched, chain, 0);
-  }
-  account_chain(ctx, chain);
-}
-
-void resume_chain(Context& ctx, ChainResume resume, ChainStats& stats) {
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_resume:op2chain");
-  chain_span.set_elements(resume.chain.size());
-  chain_span.set_index(static_cast<std::int64_t>(resume.next));
-  // `next` indexes rounds or tiles depending on how the chain parked, so
-  // a parked chain always resumes through the executor that parked it
-  // (flush/tile counters were charged when the chain first ran).
-  if (resume.rounds) {
-    run_rounds_from(ctx, resume.sched, resume.chain, resume.next, stats);
-  } else {
-    run_from(ctx, resume.sched, resume.chain, resume.next);
-  }
-  account_chain(ctx, resume.chain);
-}
-
-void flush_pending(Context& ctx) { ctx.flush(); }
-
 }  // namespace detail
 
-// --- Context lazy surface --------------------------------------------------
+// --- ChainRun and the lazy-core hooks --------------------------------------
 
-void Context::enqueue(LoopRecord rec) {
-  chain_.push_back(std::move(rec));
-  update_pending();
+std::size_t ChainRun::steps() const {
+  if (walk == Walk::kRounds) return rounds.size();
+  return walk == Walk::kTiles ? static_cast<std::size_t>(sched->ntiles)
+                              : sched->loop_n.size();
+}
+
+apl::chain::Unit ChainRun::unit() const {
+  return walk == Walk::kRounds ? apl::chain::Unit{"op2::round", "round"}
+                               : apl::chain::Unit{"op2::tile", "tile"};
+}
+
+ChainRun Context::plan_chain(const std::vector<LoopRecord>& chain,
+                             apl::chain::Charge& charge) {
+  ChainRun run;
+  run.sched = &plan_for(ChainPlanRequest{"op2chain", &chain});
+  const TileSchedule& sched = *run.sched;
+  charge.eager_bytes = sched.eager_bytes;
+  if (!sched.fused) {
+    charge.tiles = chain.size();
+    charge.tiled_bytes = sched.eager_bytes;
+    charge.verbatim = true;
+    return run;
+  }
+  charge.tiles = static_cast<std::uint64_t>(sched.ntiles);
+  charge.tiled_bytes = sched.fused_bytes;
+  charge.span_index = sched.ntiles;
+  if (tile_team_enabled() && rounds_eligible(chain)) {
+    run.walk = ChainRun::Walk::kRounds;
+    run.rounds = round_tiles(sched);
+  } else {
+    run.walk = ChainRun::Walk::kTiles;
+  }
+  return run;
+}
+
+void Context::run_step(ChainRun& run, std::size_t i,
+                       const std::vector<LoopRecord>& chain,
+                       ChainStats& stats) {
+  switch (run.walk) {
+    case ChainRun::Walk::kRecords:
+      chain[i].run_full();
+      break;
+    case ChainRun::Walk::kTiles:
+      run_tile(*run.sched, chain, static_cast<index_t>(i));
+      break;
+    case ChainRun::Walk::kRounds:
+      run_round(*this, *run.sched, chain, run.rounds[i], i, stats);
+      break;
+  }
+}
+
+void Context::account_loop(const LoopRecord& rec) {
+  apl::LoopStats& st = profile().stats(rec.name);
+  ++st.calls;
+  detail::account_traffic(*this, rec.name, *rec.set, rec.infos, st);
 }
 
 apl::ThreadPool& Context::tile_team() const {
   return tile_team_ != nullptr ? *tile_team_ : apl::ThreadPool::global();
-}
-
-void Context::store_resume(ChainResume resume) {
-  resume_ = std::make_unique<ChainResume>(std::move(resume));
-  update_pending();
-}
-
-void Context::do_flush() {
-  if (chain_executing_) return;
-  if (chain_.empty() && resume_ == nullptr) return;
-  chain_executing_ = true;
-  update_pending();
-  struct Guard {
-    Context* c;
-    ~Guard() {
-      c->chain_executing_ = false;
-      c->update_pending();
-    }
-  } guard{this};
-  if (resume_ != nullptr) {
-    auto r = std::move(resume_);
-    detail::resume_chain(*this, std::move(*r), chain_stats_);
-  }
-  if (!chain_.empty()) {
-    std::vector<LoopRecord> chain = std::move(chain_);
-    chain_.clear();
-    detail::execute_chain(*this, std::move(chain), chain_stats_);
-  }
-}
-
-void Context::update_pending() {
-  pending_flush_ =
-      lazy() && !chain_executing_ && (!chain_.empty() || resume_ != nullptr);
 }
 
 const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
@@ -918,46 +781,27 @@ const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
   ck.version = kPlanIrVersion;
   ck.label = req.label;
 
-  apl::signature::Hasher sig;
-  sig.mix(ck.topology);
-  sig.mix(ck.program);
-  sig.mix(ck.config);
-  sig.pod(ck.version);
-  const std::uint64_t key = sig.value();
+  const std::uint64_t key = apl::plan_cache::signature(ck);
   if (const auto it = tile_schedules_.find(key); it != tile_schedules_.end()) {
     add_plan_seconds(apl::now_seconds() - t0);
     return *it->second;
   }
 
-  auto& store = apl::plan_cache::Store::current();
-  std::unique_ptr<TileSchedule> sched;
-  if (store.enabled()) {
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "chain_hit:" + req.label);
-      std::string diag;
-      if (auto decoded = decode_tile_schedule(*payload, chain, &diag)) {
-        sched = std::make_unique<TileSchedule>(std::move(*decoded));
-        span.set_elements(chain.size());
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid: surface it like corruption and
-        // degrade to a fresh inspection.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = sched == nullptr;
-  if (built) {
-    apl::trace::Span span(apl::trace::kPlan, "chain_analyze:" + req.label);
-    sched = std::make_unique<TileSchedule>(
-        detail::build_tile_schedule(*this, chain));
-    span.set_elements(chain.size());
-    span.set_index(sched->fused ? sched->ntiles : 0);
-  }
+  auto sched = std::make_unique<TileSchedule>(
+      apl::plan_cache::load_or_build<TileSchedule>(
+          ck,
+          {apl::trace::kPlan, "chain_hit:" + req.label, apl::trace::kPlan,
+           "chain_analyze:" + req.label, chain.size()},
+          [&](std::span<const std::uint8_t> payload, std::string* diag) {
+            return decode_tile_schedule(payload, chain, diag);
+          },
+          [&](apl::trace::Span& span) {
+            TileSchedule built = detail::build_tile_schedule(*this, chain);
+            span.set_index(built.fused ? built.ntiles : 0);
+            return built;
+          },
+          encode_tile_schedule));
   sched->signature = key;
-  if (built && store.enabled()) {
-    store.save(ck, encode_tile_schedule(*sched));
-  }
   add_plan_seconds(apl::now_seconds() - t0);
 
   // Audit both paths under OPAL_VERIFY=plan: a deserialized schedule is

@@ -1,6 +1,7 @@
 #include "op2/plan.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "apl/error.hpp"
 #include "apl/graph/coloring.hpp"
@@ -181,7 +182,11 @@ struct PlanShape {
   index_t max_elem_colors = 0;
   index_t n = 0;  ///< iteration size the plan covers (set core size)
   std::uint8_t has_conflicts = 0;
+  std::uint8_t pad[3] = {};  ///< serialized too: keep it deterministic
 };
+static_assert(std::is_trivially_copyable_v<PlanShape> &&
+                  sizeof(PlanShape) == 24,
+              "PlanShape is serialized by memcpy; keep it packed");
 
 }  // namespace
 
@@ -207,35 +212,13 @@ std::optional<Plan> decode_plan(std::span<const std::uint8_t> payload,
                                 index_t n, std::string* diag) {
   Plan plan;
   PlanShape shape;
-  bool have_shape = false;
   const apl::plan_cache::SectionHandler table[] = {
-      {kSecShape,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         if (!r.pod(&shape) || !r.done()) return false;
-         have_shape = true;
-         return true;
-       }},
-      {kSecBlockOffset,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&plan.block_offset);
-       }},
-      {kSecBlockColor,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&plan.block_color);
-       }},
-      {kSecElemColor,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&plan.elem_color);
-       }},
-      {kSecBlockElemColors,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&plan.block_elem_colors);
-       }},
+      apl::plan_cache::pod_section(kSecShape, &shape),
+      apl::plan_cache::array_section(kSecBlockOffset, &plan.block_offset),
+      apl::plan_cache::array_section(kSecBlockColor, &plan.block_color),
+      apl::plan_cache::array_section(kSecElemColor, &plan.elem_color),
+      apl::plan_cache::array_section(kSecBlockElemColors,
+                                     &plan.block_elem_colors),
   };
   auto reject = [&](const std::string& why) {
     if (diag != nullptr) *diag = "plan-ir: " + why;
@@ -247,7 +230,6 @@ std::optional<Plan> decode_plan(std::span<const std::uint8_t> payload,
     if (diag != nullptr) *diag = err;
     return std::nullopt;
   }
-  if (!have_shape) return reject("shape section missing");
 
   // Executing a decoded plan trusts its invariants, so prove them here:
   // the container CRC only guards against bitrot, not a stale or foreign

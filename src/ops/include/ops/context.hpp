@@ -2,10 +2,11 @@
 // and run-time configuration.
 //
 // Execution configuration (backend, debug checks, lazy mode, profile, flop
-// hints) comes from the unified execution API base (apl/exec.hpp). The OPS
-// context additionally implements the lazy loop-chain engine (ops/lazy.hpp):
-// with set_lazy(true), par_loop enqueues loop records which execute — with
-// cross-loop cache-blocked tiling — at the next flush point.
+// hints) comes from the unified execution API base (apl/exec.hpp), lazy
+// queueing and flushing from the shared lazy core (apl/chain.hpp). The OPS
+// context supplies the chain inspector (ops/lazy.hpp): with set_lazy(true),
+// par_loop enqueues loop records which execute — with cross-loop
+// cache-blocked tiling — at the next flush point.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,9 @@ namespace ops {
 
 class Checkpointer;
 
-class Context : public apl::exec::ExecContext {
+class Context : public apl::chain::LazyContext<LoopRecord, ChainRun> {
 public:
-  Context() = default;
+  Context() : LazyContext({"ops", "chain_flush", "chain_resume"}) {}
 
   // ---- declarations (ops_decl_block / _stencil / _dat)
   Block& decl_block(int ndim, const std::string& name);
@@ -47,7 +48,7 @@ public:
     auto dat = std::make_unique<Dat<T>>(static_cast<index_t>(dats_.size()),
                                         block, dim, size, d_m, d_p, name);
     Dat<T>& ref = *dat;
-    ref.attach_context(this, &pending_flush_);
+    ref.attach_context(this, pending_flag());
     dats_.push_back(std::move(dat));
     topology_hash_.reset();
     return ref;
@@ -64,13 +65,8 @@ public:
   index_t num_dats() const { return static_cast<index_t>(dats_.size()); }
   DatBase* find_dat(const std::string& name);
 
-  // ---- lazy loop-chain engine (ops/lazy.hpp)
-  /// Queues a recorded loop (called by par_loop under set_lazy(true)).
-  void enqueue(LoopRecord rec);
-  /// True while the queued chain is being executed (par_loop runs eagerly
-  /// then, so replayed loops are not re-enqueued).
-  bool chain_executing() const { return chain_executing_; }
-  std::size_t chain_length() const { return chain_.size(); }
+  // ---- lazy loop-chain engine (ops/lazy.hpp; queue, flush and
+  // park/resume are the shared core in apl/chain.hpp)
   /// Cross-loop cache-blocked tiling of flushed chains (default on). With
   /// tiling off a flush replays the queue verbatim — the bit-comparable
   /// validation baseline.
@@ -80,10 +76,6 @@ public:
   /// 0 picks a height whose chain working set fits the cache budget.
   index_t tile_rows() const { return tile_rows_; }
   void set_tile_rows(index_t rows) { tile_rows_ = rows; }
-  /// Per-chain execution statistics (chain lengths, tile counts, modeled
-  /// eager-vs-tiled DRAM traffic).
-  const ChainStats& chain_stats() const { return chain_stats_; }
-
   /// Returns the compiled execution schedule for a queued chain — the one
   /// public entry point for chain planning. Consults, in order: the
   /// in-memory memo (keyed by the combined cache signature, so the
@@ -98,31 +90,25 @@ public:
   /// declaration invalidates it.
   std::uint64_t topology_hash() const;
 
-  void set_lazy(bool on) override {
-    ExecContext::set_lazy(on);
-    update_pending();
-  }
-
   // ---- checkpointing (ops/checkpoint.hpp)
   void attach_checkpointer(Checkpointer* ck) { checkpointer_ = ck; }
   Checkpointer* checkpointer() const { return checkpointer_; }
 
 private:
-  void do_flush() override;
-  void update_pending() {
-    pending_flush_ = lazy() && !chain_executing_ && !chain_.empty();
-  }
+  // Lazy-core hooks (ops/lazy.cpp).
+  ChainRun plan_chain(const std::vector<LoopRecord>& chain,
+                      apl::chain::Charge& charge) override;
+  void run_step(ChainRun& run, std::size_t i,
+                const std::vector<LoopRecord>& chain,
+                ChainStats& stats) override;
+  void account_loop(const LoopRecord& rec) override;
 
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::unique_ptr<Stencil>> stencils_;
   std::vector<std::unique_ptr<DatBase>> dats_;
   std::map<int, index_t> point_stencils_;  ///< ndim -> stencil id
-  std::vector<LoopRecord> chain_;
   std::map<std::uint64_t, std::unique_ptr<ChainSchedule>> schedules_;
   mutable std::optional<std::uint64_t> topology_hash_;
-  ChainStats chain_stats_;
-  bool chain_executing_ = false;
-  bool pending_flush_ = false;  ///< dats' touch() watches this flag
   bool tiling_ = true;
   index_t tile_rows_ = 0;
   Checkpointer* checkpointer_ = nullptr;

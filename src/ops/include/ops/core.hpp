@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "apl/aligned.hpp"
+#include "apl/chain.hpp"
 #include "apl/error.hpp"
 #include "apl/exec.hpp"
 
@@ -41,11 +42,6 @@ using apl::exec::to_string;
 using apl::exec::writes;
 
 class Context;
-
-namespace detail {
-/// Out-of-line flush used by DatBase::touch (defined in lazy.cpp).
-void flush_pending(Context& ctx);
-}  // namespace detail
 
 /// Iteration range: half-open [lo[d], hi[d]) per dimension in the
 /// dataset's interior coordinates; may extend into declared halos
@@ -160,20 +156,20 @@ public:
   /// the same values eager execution would produce. Near-free when no
   /// chain is pending (one predictable branch).
   void touch() const {
-    if (pending_flush_ && *pending_flush_) detail::flush_pending(*ctx_);
+    if (pending_ != nullptr && pending_->set) pending_->owner->flush();
   }
   /// Wires the dat to its owning context (called by Context::decl_dat);
-  /// `pending` points at the context's "lazy chain queued" flag.
-  void attach_context(Context* ctx, const bool* pending) {
+  /// `pending` is the context's "lazy chain queued" flag.
+  void attach_context(Context* ctx, const apl::chain::Pending* pending) {
     ctx_ = ctx;
-    pending_flush_ = pending;
+    pending_ = pending;
   }
   /// The owning context (null only for hand-constructed test dats).
   Context* context() const { return ctx_; }
 
 protected:
   Context* ctx_ = nullptr;
-  const bool* pending_flush_ = nullptr;
+  const apl::chain::Pending* pending_ = nullptr;
   index_t id_;
   const Block* block_;
   index_t dim_;

@@ -22,6 +22,12 @@
 // every dataset from DRAM. With tiling disabled the flush replays the
 // queue verbatim (bit-comparable validation baseline).
 //
+// The flush checks apl::cancel tokens and scheduler preemption before
+// every schedule op. An interruption parks the rest of the chain on the
+// context, the next flush point completes it exactly, and the context
+// stays lazy — the same contract as op2, from the shared lazy core
+// (apl/chain.hpp) that owns the queue and the flush driver.
+//
 // Correctness rests on the OPS structural restriction that kernels write
 // only the centre point. With per-loop skews s[l] (monotone non-increasing
 // along the chain) and tile edges B_t, loop l executes rows
@@ -40,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "apl/chain_stats.hpp"
+#include "apl/chain.hpp"
 #include "ops/arg.hpp"
 #include "ops/core.hpp"
 
@@ -79,9 +85,9 @@ inline constexpr std::uint32_t kChainIrVersion = 1;
 /// Compiled execution schedule of one flushed chain: the output of the
 /// dependency analysis (grouping, skews, tile segmentation, traffic
 /// projection) with the analysis itself stripped away. Executing a
-/// schedule walks `ops` through a dispatch table and touches only the
-/// live LoopRecords' executors — a deserialized schedule therefore runs
-/// without redoing any analysis.
+/// schedule walks `ops` in order, one op per step of the shared flush
+/// driver, and touches only the live LoopRecords' executors — a
+/// deserialized schedule therefore runs without redoing any analysis.
 struct ChainSchedule {
   enum class OpKind : std::uint32_t {
     kVerbatim = 1,      ///< run records over their full recorded ranges
@@ -115,6 +121,16 @@ struct ChainSchedule {
   std::uint64_t signature = 0;
 };
 
+/// One flushed chain as the shared flush driver (apl/chain.hpp) runs it:
+/// one step per schedule op, with cancellation and preemption checked
+/// between ops. Points into the context's schedule memo, which lives as
+/// long as the context.
+struct ChainRun {
+  const ChainSchedule* sched = nullptr;
+  std::size_t steps() const { return sched->ops.size(); }
+  apl::chain::Unit unit() const { return {"ops::op", "op"}; }
+};
+
 /// Request for a chain schedule — the one public spelling for obtaining
 /// one. `label` names the schedule in traces, diagnostics and cache file
 /// names; `chain` is the queued loop chain to plan.
@@ -146,19 +162,6 @@ namespace detail {
 /// first; reach for this only from tests and benches.
 ChainSchedule analyze_chain(const Context& ctx,
                             const std::vector<LoopRecord>& chain);
-
-/// Executes a compiled schedule against the live chain through the
-/// per-OpKind dispatch table, accumulating tile/traffic stats.
-void execute_schedule(const ChainSchedule& sched,
-                      const std::vector<LoopRecord>& chain,
-                      ChainStats& stats);
-
-/// Executes a flushed chain: obtains the schedule via Context::plan_for
-/// (memoized per signature, then the persistent cache, then
-/// analyze_chain), executes it, and accumulates per-loop profile stats
-/// plus chain stats.
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats);
 
 }  // namespace detail
 

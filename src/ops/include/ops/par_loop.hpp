@@ -227,15 +227,6 @@ void run_span(const Range& r, index_t out_lo, index_t out_hi, int out_dim,
   }
 }
 
-/// An ArgIdx hands the kernel a pointer into its own buffer, so each
-/// worker of the checked path runs on a private copy of it; every other
-/// argument is shared.
-template <class A>
-A& worker_arg(A& a) {
-  return a;
-}
-inline ArgIdx worker_arg(ArgIdx& a) { return a; }
-
 /// Slow path used only under debug checks: per-point accessors carrying
 /// the stencil-validation state.
 template <class Kernel, class... Args>
@@ -246,33 +237,42 @@ void run_span_checked(const Range& r, index_t out_lo, index_t out_hi,
   Range local = r;
   local.lo[out_dim] = out_lo;
   local.hi[out_dim] = out_hi;
-  std::tuple<decltype(worker_arg(args))...> mine(worker_arg(args)...);
-  std::apply(
-      [&](auto&... a) {
-        for (int kk = local.lo[2]; kk < local.hi[2]; ++kk) {
-          for (int jj = local.lo[1]; jj < local.hi[1]; ++jj) {
-            for (int ii = local.lo[0]; ii < local.hi[0]; ++ii) {
-              c.idx[0] = ii;
-              c.idx[1] = jj;
-              c.idx[2] = kk;
-              k(point_param(a, c)...);
-            }
-          }
-        }
-      },
-      mine);
+  for (int kk = local.lo[2]; kk < local.hi[2]; ++kk) {
+    for (int jj = local.lo[1]; jj < local.hi[1]; ++jj) {
+      for (int ii = local.lo[0]; ii < local.hi[0]; ++ii) {
+        c.idx[0] = ii;
+        c.idx[1] = jj;
+        c.idx[2] = kk;
+        k(point_param(args, c)...);
+      }
+    }
+  }
 }
+
+/// An ArgIdx hands the kernel a pointer into its own buffer, so each span
+/// (one per worker) runs on a private copy of it; every other argument is
+/// shared.
+template <class A>
+A& worker_arg(A& a) {
+  return a;
+}
+inline ArgIdx worker_arg(ArgIdx& a) { return a; }
 
 /// Backend dispatch.
 template <bool Checked, class Kernel, class... Args>
 void execute_loop(Context& ctx, const Range& range, int out_dim,
                   Kernel&& kernel, Args&... args) {
   const auto span = [&](index_t lo, index_t hi, std::size_t tid) {
-    if constexpr (Checked) {
-      run_span_checked(range, lo, hi, out_dim, tid, kernel, args...);
-    } else {
-      run_span(range, lo, hi, out_dim, tid, kernel, args...);
-    }
+    std::tuple<decltype(worker_arg(args))...> mine(worker_arg(args)...);
+    std::apply(
+        [&](auto&... a) {
+          if constexpr (Checked) {
+            run_span_checked(range, lo, hi, out_dim, tid, kernel, a...);
+          } else {
+            run_span(range, lo, hi, out_dim, tid, kernel, a...);
+          }
+        },
+        mine);
   };
   switch (ctx.backend()) {
     case Backend::kSeq:
@@ -302,46 +302,6 @@ void execute_loop(Context& ctx, const Range& range, int out_dim,
     }
   }
 }
-
-// ---- freeze / thaw for delayed execution ------------------------------------
-
-// Queued loops execute after the enqueuing call returns, so any pointer
-// into the caller's stack must be snapshotted at enqueue time. Only
-// read-only globals need it: dats are context-owned, and reduction
-// globals flush before par_loop returns. The snapshot vector's heap
-// buffer moves whenever the closure is copied into std::function
-// storage, so thaw() re-points g.data at every call, not once.
-
-template <class T>
-struct GblSnapshot {
-  ArgGbl<T> g;
-  std::vector<T> snap;  ///< frozen kRead values (empty for reductions)
-};
-
-template <class T>
-ArgDat<T> freeze(const ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-GblSnapshot<T> freeze(const ArgGbl<T>& g) {
-  GblSnapshot<T> s{g, {}};
-  if (g.acc == Access::kRead && g.data != nullptr) {
-    s.snap.assign(g.data, g.data + g.dim);
-  }
-  return s;
-}
-inline ArgIdx freeze(const ArgIdx& a) { return a; }
-
-template <class T>
-ArgDat<T>& thaw(ArgDat<T>& a) {
-  return a;
-}
-template <class T>
-ArgGbl<T>& thaw(GblSnapshot<T>& s) {
-  if (!s.snap.empty()) s.g.data = s.snap.data();
-  return s.g;
-}
-inline ArgIdx& thaw(ArgIdx& a) { return a; }
 
 // The checkpoint classifier treats a kWrite dat as "reconstructed by
 // re-running the chain from the entry loop". Whether a given iteration
@@ -419,7 +379,7 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
     rec.range = range;
     rec.infos = infos;
     rec.run = [&ctx, name, nd = block.ndim(), kernel = kernel,
-               frozen = std::make_tuple(detail::freeze(args)...)](
+               frozen = std::make_tuple(apl::chain::freeze(args)...)](
                   const Range& sub) mutable {
       std::apply(
           [&](auto&... fr) {
@@ -449,18 +409,13 @@ void par_loop(Context& ctx, const std::string& name, const Block& block,
               // may clear the profile mid-loop (lifetime rule, profile.hpp).
               ctx.profile().stats(name).seconds += apl::now_seconds() - t0;
             };
-            invoke(detail::thaw(fr)...);
+            invoke(apl::chain::thaw(fr)...);
           },
           frozen);
     };
-    const bool reduction =
-        std::any_of(infos.begin(), infos.end(), [](const ArgInfo& i) {
-          return i.is_gbl && i.acc != Access::kRead;
-        });
     ctx.enqueue(std::move(rec));
-    if (reduction) ctx.flush();
-    // Reductions flushed above, so logged global outputs are final; pure
-    // kRead globals contribute nothing to the log.
+    // A reduction flushed in enqueue, so logged global outputs are final;
+    // pure kRead globals contribute nothing to the log.
     if (Checkpointer* ck = ctx.checkpointer()) {
       std::vector<std::uint8_t> gbl_log;
       (detail::log_gbl(args, gbl_log), ...);

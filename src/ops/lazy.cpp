@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "apl/cancel.hpp"
 #include "apl/error.hpp"
 #include "apl/io/plan_cache.hpp"
 #include "apl/signature.hpp"
@@ -323,64 +322,6 @@ void analyze_group(const Context& ctx,
   }
 }
 
-// --- execution: schedule ops through a dispatch table ----------------------
-
-void exec_verbatim(const ChainSchedule& sched, const ChainSchedule::Op& op,
-                   const std::vector<LoopRecord>& chain, ChainStats& stats) {
-  const std::vector<std::int32_t>& g = sched.groups[op.group];
-  for (std::int32_t l = 0; l < op.count; ++l) {
-    const LoopRecord& rec = chain[g[op.first + l]];
-    run_record(rec, rec.range);
-  }
-  stats.tiles += op.tiles;
-  stats.tiled_bytes += op.tiled_bytes;
-}
-
-void exec_tiled_segment(const ChainSchedule& sched,
-                        const ChainSchedule::Op& op,
-                        const std::vector<LoopRecord>& chain,
-                        ChainStats& stats) {
-  const std::vector<std::int32_t>& g = sched.groups[op.group];
-  for (index_t b0 = op.lo; b0 < op.hi; b0 += op.h) {
-    const index_t b1 = std::min(op.hi, b0 + op.h);
-    for (std::int32_t l = 0; l < op.count; ++l) {
-      const LoopRecord& rec = chain[g[op.first + l]];
-      Range sub = rec.range;
-      sub.lo[op.dim] = std::max(sub.lo[op.dim], b0 + op.skews[l]);
-      sub.hi[op.dim] = std::min(sub.hi[op.dim], b1 + op.skews[l]);
-      if (sub.lo[op.dim] >= sub.hi[op.dim]) continue;
-      run_record(rec, sub);
-    }
-  }
-  stats.tiles += op.tiles;
-  stats.tiled_bytes += op.tiled_bytes;
-}
-
-using OpExecutor = void (*)(const ChainSchedule&, const ChainSchedule::Op&,
-                            const std::vector<LoopRecord>&, ChainStats&);
-
-/// The schedule ISA: one executor per op kind. Executing a schedule is a
-/// walk over this table — no analysis code is reachable from it, which is
-/// what lets a deserialized schedule run as-is.
-struct OpDispatchEntry {
-  ChainSchedule::OpKind kind;
-  const char* name;
-  OpExecutor run;
-};
-
-constexpr OpDispatchEntry kOpDispatch[] = {
-    {ChainSchedule::OpKind::kVerbatim, "verbatim", &exec_verbatim},
-    {ChainSchedule::OpKind::kTiledSegment, "tiled_segment",
-     &exec_tiled_segment},
-};
-
-const OpDispatchEntry* dispatch_for(ChainSchedule::OpKind kind) {
-  for (const OpDispatchEntry& e : kOpDispatch) {
-    if (e.kind == kind) return &e;
-  }
-  return nullptr;
-}
-
 // --- schedule IR (de)serialization -----------------------------------------
 
 // Section tags of the "ops" Plan IR family (kChainIrVersion).
@@ -460,6 +401,7 @@ std::optional<ChainSchedule> decode_schedule(
     const std::vector<LoopRecord>& chain, std::string* diag) {
   auto reject = [&](const std::string& why) {
     if (diag != nullptr) *diag = "chain-ir: " + why;
+    return std::nullopt;
   };
 
   ChainShape shape;
@@ -468,49 +410,24 @@ std::optional<ChainSchedule> decode_schedule(
   std::vector<OpRec> ops;
   std::vector<index_t> skews;
   const apl::plan_cache::SectionHandler table[] = {
-      {kSecShape,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.pod(&shape) && r.done();
-       }},
-      {kSecGroupSizes,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&group_sizes);
-       }},
-      {kSecGroupRecords,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&group_records);
-       }},
-      {kSecOps,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&ops);
-       }},
-      {kSecSkews,
-       [&](std::span<const std::uint8_t> b) {
-         apl::plan_cache::SectionReader r(b);
-         return r.rest(&skews);
-       }},
+      apl::plan_cache::pod_section(kSecShape, &shape),
+      apl::plan_cache::array_section(kSecGroupSizes, &group_sizes),
+      apl::plan_cache::array_section(kSecGroupRecords, &group_records),
+      apl::plan_cache::array_section(kSecOps, &ops),
+      apl::plan_cache::array_section(kSecSkews, &skews),
   };
   const std::string d = apl::plan_cache::decode_sections(payload, table);
-  if (!d.empty()) {
-    reject(d);
-    return std::nullopt;
-  }
+  if (!d.empty()) return reject(d);
 
   const std::size_t n = chain.size();
   if (shape.num_records != n) {
-    reject("planned for " + std::to_string(shape.num_records) +
-           " records, live chain has " + std::to_string(n));
-    return std::nullopt;
+    return reject("planned for " + std::to_string(shape.num_records) +
+                  " records, live chain has " + std::to_string(n));
   }
   if (group_sizes.size() != shape.num_groups ||
       group_records.size() != shape.num_records ||
       ops.size() != shape.num_ops || skews.size() != shape.num_skews) {
-    reject("section sizes disagree with shape");
-    return std::nullopt;
+    return reject("section sizes disagree with shape");
   }
 
   // Groups must partition the chain: every record exactly once, chain
@@ -520,8 +437,7 @@ std::optional<ChainSchedule> decode_schedule(
   std::size_t next = 0;
   for (std::uint32_t sz : group_sizes) {
     if (sz == 0 || next + sz > group_records.size()) {
-      reject("empty or overflowing group");
-      return std::nullopt;
+      return reject("empty or overflowing group");
     }
     std::vector<std::int32_t> g(group_records.begin() + next,
                                 group_records.begin() + next + sz);
@@ -529,15 +445,13 @@ std::optional<ChainSchedule> decode_schedule(
     for (std::size_t l = 0; l < g.size(); ++l) {
       const std::int32_t idx = g[l];
       if (idx < 0 || static_cast<std::size_t>(idx) >= n || seen[idx]) {
-        reject("group record index " + std::to_string(idx) +
-               " out of range or repeated");
-        return std::nullopt;
+        return reject("group record index " + std::to_string(idx) +
+                      " out of range or repeated");
       }
       seen[idx] = 1;
       if (l > 0 && (idx <= g[l - 1] ||
                     chain[idx].block->id() != chain[g[0]].block->id())) {
-        reject("group violates chain order or mixes blocks");
-        return std::nullopt;
+        return reject("group violates chain order or mixes blocks");
       }
     }
     sched.groups.push_back(std::move(g));
@@ -551,18 +465,17 @@ std::optional<ChainSchedule> decode_schedule(
   for (const OpRec& r : ops) {
     ChainSchedule::Op op;
     op.kind = static_cast<ChainSchedule::OpKind>(r.kind);
-    if (dispatch_for(op.kind) == nullptr) {
-      reject("unknown op kind " + std::to_string(r.kind));
-      return std::nullopt;
+    if (op.kind != ChainSchedule::OpKind::kVerbatim &&
+        op.kind != ChainSchedule::OpKind::kTiledSegment) {
+      return reject("unknown op kind " + std::to_string(r.kind));
     }
     if (r.group < 0 ||
         static_cast<std::size_t>(r.group) >= sched.groups.size() ||
         r.count <= 0 || r.first != covered[r.group] ||
         r.first + r.count >
             static_cast<std::int32_t>(sched.groups[r.group].size())) {
-      reject("ops do not cover group " + std::to_string(r.group) +
-             " contiguously");
-      return std::nullopt;
+      return reject("ops do not cover group " + std::to_string(r.group) +
+                    " contiguously");
     }
     covered[r.group] += r.count;
     op.group = r.group;
@@ -577,13 +490,11 @@ std::optional<ChainSchedule> decode_schedule(
     if (op.kind == ChainSchedule::OpKind::kTiledSegment) {
       const Block& blk = ctx.block(chain[sched.groups[r.group][0]].block->id());
       if (r.dim < 0 || r.dim >= blk.ndim() || r.h <= 0 || r.lo > r.hi) {
-        reject("tiled segment has invalid geometry");
-        return std::nullopt;
+        return reject("tiled segment has invalid geometry");
       }
       if (r.skew_count != static_cast<std::uint64_t>(r.count) ||
           r.skew_offset + r.skew_count > skews.size()) {
-        reject("tiled segment skew table out of range");
-        return std::nullopt;
+        return reject("tiled segment skew table out of range");
       }
       const auto s0 = static_cast<std::ptrdiff_t>(r.skew_offset);
       op.skews.assign(skews.begin() + s0,
@@ -591,8 +502,7 @@ std::optional<ChainSchedule> decode_schedule(
                           static_cast<std::ptrdiff_t>(r.skew_count));
       for (std::size_t l = 1; l < op.skews.size(); ++l) {
         if (op.skews[l] > op.skews[l - 1]) {
-          reject("tiled segment skews increase along the chain");
-          return std::nullopt;
+          return reject("tiled segment skews increase along the chain");
         }
       }
     }
@@ -600,8 +510,8 @@ std::optional<ChainSchedule> decode_schedule(
   }
   for (std::size_t g = 0; g < sched.groups.size(); ++g) {
     if (covered[g] != static_cast<std::int32_t>(sched.groups[g].size())) {
-      reject("group " + std::to_string(g) + " left partially scheduled");
-      return std::nullopt;
+      return reject("group " + std::to_string(g) +
+                    " left partially scheduled");
     }
   }
   return sched;
@@ -697,15 +607,14 @@ const ChainSchedule& Context::plan_for(const PlanRequest& req) {
   apl::require(req.chain != nullptr, "plan_for: request names no chain");
   const std::vector<LoopRecord>& chain = *req.chain;
   const double t0 = apl::now_seconds();
-  const std::uint64_t topo = topology_hash();
-  const std::uint64_t prog = chain_program_hash(chain);
-  const std::uint64_t conf = chain_config_hash(*this);
-  apl::signature::Hasher sig;
-  sig.mix(topo);
-  sig.mix(prog);
-  sig.mix(conf);
-  sig.pod(kChainIrVersion);
-  const std::uint64_t key = sig.value();
+  apl::plan_cache::Key ck;
+  ck.kind = "ops";
+  ck.topology = topology_hash();
+  ck.program = chain_program_hash(chain);
+  ck.config = chain_config_hash(*this);
+  ck.version = kChainIrVersion;
+  ck.label = req.label;
+  const std::uint64_t key = apl::plan_cache::signature(ck);
   if (const auto it = schedules_.find(key); it != schedules_.end()) {
     // Memo hit — the steady state: every flush of an unchanged chain
     // (one per timestep) reuses the schedule at the cost of the hashes.
@@ -713,42 +622,21 @@ const ChainSchedule& Context::plan_for(const PlanRequest& req) {
     return *it->second;
   }
 
-  auto& store = apl::plan_cache::Store::current();
-  apl::plan_cache::Key ck;
-  ck.kind = "ops";
-  ck.topology = topo;
-  ck.program = prog;
-  ck.config = conf;
-  ck.version = kChainIrVersion;
-  ck.label = req.label;
-  std::unique_ptr<ChainSchedule> sched;
-  if (store.enabled()) {
-    if (auto payload = store.load(ck)) {
-      apl::trace::Span span(apl::trace::kPlan, "chain_hit:" + req.label);
-      std::string diag;
-      if (auto decoded = decode_schedule(*payload, *this, chain, &diag)) {
-        sched = std::make_unique<ChainSchedule>(std::move(*decoded));
-        span.set_elements(chain.size());
-        span.set_bytes(payload->size());
-      } else {
-        // Container-valid but IR-invalid (e.g. a hash collision or a
-        // builder bug): surface it like corruption and re-analyze.
-        store.note_corrupt(diag);
-      }
-    }
-  }
-  const bool built = sched == nullptr;
-  if (built) {
-    // Chain analysis is a cache miss: span it so a warm run's "no
-    // analysis at all" claim is checkable from the trace.
-    apl::trace::Span span(apl::trace::kPlan, "chain_analyze:" + req.label);
-    sched = std::make_unique<ChainSchedule>(detail::analyze_chain(*this, chain));
-    span.set_elements(chain.size());
-  }
+  // Chain analysis is a cache miss: its span makes a warm run's "no
+  // analysis at all" claim checkable from the trace.
+  auto sched = std::make_unique<ChainSchedule>(
+      apl::plan_cache::load_or_build<ChainSchedule>(
+          ck,
+          {apl::trace::kPlan, "chain_hit:" + req.label, apl::trace::kPlan,
+           "chain_analyze:" + req.label, chain.size()},
+          [&](std::span<const std::uint8_t> payload, std::string* diag) {
+            return decode_schedule(payload, *this, chain, diag);
+          },
+          [&](apl::trace::Span&) {
+            return detail::analyze_chain(*this, chain);
+          },
+          encode_schedule));
   sched->signature = key;
-  if (built && store.enabled()) {
-    store.save(ck, encode_schedule(*sched));
-  }
   add_plan_seconds(apl::now_seconds() - t0);
   const auto [it, inserted] = schedules_.emplace(key, std::move(sched));
   return *it->second;
@@ -784,77 +672,62 @@ ChainSchedule analyze_chain(const Context& ctx,
   return sched;
 }
 
-void execute_schedule(const ChainSchedule& sched,
-                      const std::vector<LoopRecord>& chain,
-                      ChainStats& stats) {
-  for (const ChainSchedule::Op& op : sched.ops) {
-    const OpDispatchEntry* entry = dispatch_for(op.kind);
-    apl::require(entry != nullptr, "chain schedule: unknown op kind ",
-                 static_cast<std::uint32_t>(op.kind));
-    entry->run(sched, op, chain, stats);
-  }
-}
-
-void flush_pending(Context& ctx) { ctx.flush(); }
-
-void execute_chain(Context& ctx, std::vector<LoopRecord> chain,
-                   ChainStats& stats) {
-  // A chain flush is a checkpointable boundary: cancellation (and the
-  // preemption flag a scheduler polls) take effect here, before any tile
-  // of the chain has executed.
-  apl::cancel::point("chain_flush");
-  // One span per flush; the per-slice kTile spans the record executors
-  // open (ops/par_loop.hpp) nest inside it.
-  apl::trace::Span chain_span(apl::trace::kChain, "chain_flush");
-  chain_span.set_elements(chain.size());
-  const std::uint64_t tiles_before = stats.tiles;
-  ++stats.flushes;
-  stats.loops += chain.size();
-  stats.max_chain = std::max<std::uint64_t>(stats.max_chain, chain.size());
-  for (const LoopRecord& rec : chain) {
-    stats.eager_bytes += streaming_bytes(rec);
-  }
-
-  const ChainSchedule& sched = ctx.plan_for({"chain", &chain});
-  execute_schedule(sched, chain, stats);
-  if (std::none_of(sched.ops.begin(), sched.ops.end(),
-                   [](const ChainSchedule::Op& op) {
-                     return op.kind == ChainSchedule::OpKind::kTiledSegment;
-                   })) {
-    ++stats.verbatim;
-  }
-
-  // Per-loop profile accounting over the full recorded ranges — the same
-  // useful-byte totals and call counts eager execution records, so the
-  // perf-model benches see identical inputs either way (the record
-  // executor accumulates only wall time, one slice per tile).
-  for (const auto& group : sched.groups) {
-    for (const std::int32_t idx : group) {
-      const LoopRecord& rec = chain[idx];
-      apl::LoopStats& st = ctx.profile().stats(rec.name);
-      ++st.calls;
-      account(ctx, rec.name, rec.range, rec.infos, st);
-    }
-  }
-  chain_span.set_index(static_cast<std::int64_t>(stats.tiles - tiles_before));
-}
-
 }  // namespace detail
 
-void Context::enqueue(LoopRecord rec) {
-  chain_.push_back(std::move(rec));
-  update_pending();
+// --- the lazy-core hooks ----------------------------------------------------
+
+ChainRun Context::plan_chain(const std::vector<LoopRecord>& chain,
+                             apl::chain::Charge& charge) {
+  ChainRun run{&plan_for({"chain", &chain})};
+  bool tiled = false;
+  for (const ChainSchedule::Op& op : run.sched->ops) {
+    charge.tiles += op.tiles;
+    charge.tiled_bytes += op.tiled_bytes;
+    tiled = tiled || op.kind == ChainSchedule::OpKind::kTiledSegment;
+  }
+  for (const LoopRecord& rec : chain) {
+    charge.eager_bytes += streaming_bytes(rec);
+  }
+  charge.verbatim = !tiled;
+  charge.span_index = static_cast<std::int64_t>(charge.tiles);
+  return run;
 }
 
-void Context::do_flush() {
-  if (chain_.empty() || chain_executing_) return;
-  std::vector<LoopRecord> chain = std::move(chain_);
-  chain_.clear();
-  chain_executing_ = true;
-  update_pending();
-  detail::execute_chain(*this, std::move(chain), chain_stats_);
-  chain_executing_ = false;
-  update_pending();
+void Context::run_step(ChainRun& run, std::size_t i,
+                       const std::vector<LoopRecord>& chain,
+                       ChainStats& /*stats*/) {
+  const ChainSchedule::Op& op = run.sched->ops[i];
+  const std::vector<std::int32_t>& g = run.sched->groups[op.group];
+  switch (op.kind) {
+    case ChainSchedule::OpKind::kVerbatim:
+      for (std::int32_t l = 0; l < op.count; ++l) {
+        const LoopRecord& rec = chain[g[op.first + l]];
+        run_record(rec, rec.range);
+      }
+      break;
+    case ChainSchedule::OpKind::kTiledSegment:
+      for (index_t b0 = op.lo; b0 < op.hi; b0 += op.h) {
+        const index_t b1 = std::min(op.hi, b0 + op.h);
+        for (std::int32_t l = 0; l < op.count; ++l) {
+          const LoopRecord& rec = chain[g[op.first + l]];
+          Range sub = rec.range;
+          sub.lo[op.dim] = std::max(sub.lo[op.dim], b0 + op.skews[l]);
+          sub.hi[op.dim] = std::min(sub.hi[op.dim], b1 + op.skews[l]);
+          run_record(rec, sub);
+        }
+      }
+      break;
+  }
+}
+
+// Per-loop profile accounting over the full recorded ranges — the same
+// useful-byte totals and call counts eager execution records, so the
+// perf-model benches see identical inputs either way (the record executor
+// accumulates only wall time, one slice per tile).
+void Context::account_loop(const LoopRecord& rec) {
+  apl::LoopStats& st = profile().stats(rec.name);
+  ++st.calls;
+  detail::account(*this, rec.name, rec.range, rec.infos, st);
 }
 
 }  // namespace ops

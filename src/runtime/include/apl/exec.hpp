@@ -69,9 +69,9 @@ Backend backend_from_env(Backend fallback = Backend::kSeq);
 
 /// Execution configuration common to both libraries' Contexts: backend
 /// selection, consistency checking, lazy loop-chain execution, the
-/// per-loop profile and flop hints. Derived contexts that support delayed
-/// execution override do_flush(); for the others set_lazy() is accepted
-/// but loops execute eagerly and flush() is a no-op.
+/// per-loop profile and flop hints. Delayed execution itself — the queue
+/// and do_flush() — comes from apl::chain::LazyContext (apl/chain.hpp),
+/// which both libraries' contexts derive from.
 class ExecContext {
 public:
   ExecContext() = default;
@@ -92,7 +92,7 @@ public:
   /// global reduction, raw data access, or a halo exchange). Turning lazy
   /// off flushes any queued work first.
   bool lazy() const { return lazy_; }
-  virtual void set_lazy(bool on) {
+  void set_lazy(bool on) {
     if (lazy_ && !on) do_flush();
     lazy_ = on;
   }

@@ -124,7 +124,9 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
   // the kPlan audit, which proves every schedule they ran was a legal
   // round order (this is what catches APL_MUTATE_OP2_COLOR_MERGE
   // deterministically on a 1-core host, where the merged round's race
-  // may never lose a timing coin flip).
+  // may never lose a timing coin flip). The threads backend runs rounds
+  // on the process pool too, so "lazy-tiled-threads" is audited the same
+  // way: an illegal round order is rejected before it can race.
   struct Plain {
     ComboMeta meta;
     Backend backend;
@@ -174,8 +176,8 @@ inline std::optional<Divergence> run_op2_oracle(const Op2CaseSpec& spec,
       sys->ctx.set_tiling(p.tiling);
       if (p.tile > 0) sys->ctx.set_tile_size(p.tile);
       if (p.lazy) sys->ctx.set_lazy(true);
-      if (team != nullptr) {
-        sys->ctx.set_tile_team(team.get());
+      if (team != nullptr) sys->ctx.set_tile_team(team.get());
+      if (sys->ctx.tile_team_enabled()) {
         sys->ctx.set_verify(sys->ctx.verify_checks() | apl::verify::kPlan);
       }
       Op2PlainExec ex{&sys->ctx};

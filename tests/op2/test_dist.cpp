@@ -1,14 +1,21 @@
 // Distributed backend: the same loops must produce the same answers as the
 // sequential backend, for every partitioner and rank count, while all data
-// motion flows through the metered simulated communicator.
+// motion flows through the metered simulated communicator. The partition
+// itself persists in the plan cache: a warm hit and a corrupt blob are
+// covered at the end.
 #include "op2/dist.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apl/io/plan_cache.hpp"
+#include "apl/trace.hpp"
 #include "op2/op2.hpp"
 #include "apl/testkit/fixtures.hpp"
 
@@ -271,6 +278,127 @@ TEST(Distributed, FetchRoundTripsScatter) {
   op2::Distributed dist(h.ctx, 3, PartitionMethod::kKway, *h.nodes);
   dist.fetch(*h.q);
   EXPECT_EQ(h.q->to_vector(), before);
+}
+
+// ---- partition cache --------------------------------------------------------
+
+/// Scoped plan-cache directory on the global store (disabled again on exit).
+struct PartCacheDir {
+  explicit PartCacheDir(const std::string& name)
+      : dir((std::filesystem::temp_directory_path() / name).string()) {
+    std::filesystem::remove_all(dir);
+    apl::plan_cache::Store::global().set_directory(dir);
+  }
+  ~PartCacheDir() {
+    apl::plan_cache::Store::global().set_directory("");
+    std::filesystem::remove_all(dir);
+  }
+  std::string dir;
+};
+
+/// A partition as the public API shows it: per rank, the owned and ghost
+/// counts of both sets and the rank-local node coordinates (owned then
+/// ghost entries, in the order the owner vector assigns them).
+std::vector<double> partition_layout(op2::Distributed& dist,
+                                     const DistHarness& h, int nranks) {
+  std::vector<double> out;
+  for (int r = 0; r < nranks; ++r) {
+    for (const op2::Set* s : {h.nodes, h.edges}) {
+      out.push_back(dist.owned_count(*s, r));
+      out.push_back(dist.ghost_count(*s, r));
+    }
+    auto* x = dynamic_cast<op2::Dat<double>*>(
+        dist.rank_context(r).find_dat("x"));
+    const std::vector<double> v = x->to_vector();
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+/// Span names recorded while `fn` runs.
+template <class Fn>
+std::vector<std::string> spans_of(Fn&& fn) {
+  auto& rec = apl::trace::Recorder::global();
+  rec.clear();
+  rec.set_enabled(true);
+  fn();
+  rec.set_enabled(false);
+  std::vector<std::string> names;
+  for (const auto& e : rec.snapshot()) names.push_back(e.name);
+  rec.clear();
+  return names;
+}
+
+bool has_span(const std::vector<std::string>& names, const std::string& n) {
+  return std::find(names.begin(), names.end(), n) != names.end();
+}
+
+TEST(Distributed, PartitionCacheHitReusesOwners) {
+  PartCacheDir cache("op2_part_cache_hit");
+  auto& store = apl::plan_cache::Store::global();
+  DistHarness h;
+  std::vector<double> cold_layout;
+  const auto cold = spans_of([&] {
+    op2::Distributed dist(h.ctx, 4, PartitionMethod::kKway, *h.nodes);
+    cold_layout = partition_layout(dist, h, 4);
+  });
+  EXPECT_TRUE(has_span(cold, "part:nodes"));
+  EXPECT_FALSE(has_span(cold, "part_hit:nodes"));
+  ASSERT_GE(store.stats().stores, 1u);
+
+  store.reset_stats();
+  std::vector<double> warm_layout;
+  const auto warm = spans_of([&] {
+    op2::Distributed dist(h.ctx, 4, PartitionMethod::kKway, *h.nodes);
+    warm_layout = partition_layout(dist, h, 4);
+  });
+  EXPECT_TRUE(has_span(warm, "part_hit:nodes"));
+  EXPECT_FALSE(has_span(warm, "part:nodes")) << "partitioner ran again";
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_EQ(warm_layout, cold_layout);
+}
+
+TEST(Distributed, OutOfRangeOwnerBlobRepartitions) {
+  PartCacheDir cache("op2_part_cache_corrupt");
+  auto& store = apl::plan_cache::Store::global();
+  DistHarness h;
+  std::vector<double> cold_layout;
+  {
+    op2::Distributed dist(h.ctx, 4, PartitionMethod::kKway, *h.nodes);
+    cold_layout = partition_layout(dist, h, 4);
+  }
+
+  // Overwrite the stored partition with a valid container whose owner
+  // vector names rank 4 of 4. The key is read back from the entry's name.
+  std::string entry;
+  for (const auto& f : std::filesystem::directory_iterator(cache.dir)) {
+    const std::string name = f.path().filename().string();
+    if (name.rfind("part-", 0) == 0) entry = name;
+  }
+  ASSERT_FALSE(entry.empty()) << "no partition entry was stored";
+  apl::plan_cache::Key key;
+  key.kind = "part";
+  key.topology = std::stoull(entry.substr(5, 16), nullptr, 16);
+  key.program = std::stoull(entry.substr(22, 16), nullptr, 16);
+  key.config = std::stoull(entry.substr(39, 16), nullptr, 16);
+  key.version = static_cast<std::uint32_t>(std::stoul(entry.substr(57)));
+  ASSERT_EQ(apl::plan_cache::Store::entry_name(key), entry);
+  std::vector<index_t> owner(static_cast<std::size_t>(h.nodes->size()), 0);
+  owner.back() = 4;
+  apl::plan_cache::BlobWriter w;
+  w.section_of<index_t>(0x4F574E52, owner);  // "OWNR"
+  store.save(key, w.bytes());
+
+  store.reset_stats();
+  std::vector<double> layout;
+  const auto spans = spans_of([&] {
+    op2::Distributed dist(h.ctx, 4, PartitionMethod::kKway, *h.nodes);
+    layout = partition_layout(dist, h, 4);
+  });
+  EXPECT_EQ(store.stats().corrupt, 1u);
+  EXPECT_EQ(store.last_diagnostic(), "partition blob fails owner validation");
+  EXPECT_TRUE(has_span(spans, "part:nodes")) << "did not repartition";
+  EXPECT_EQ(layout, cold_layout);
 }
 
 }  // namespace

@@ -388,6 +388,33 @@ TEST(LazyThreads, CancelParksAtRoundBoundaryAndResumeCompletes) {
       << "round-wise resumed chain diverged from eager";
 }
 
+TEST(LazyThreads, ResumeAfterTeamDisabledRunsRoundsSerially) {
+  const std::vector<double> ref = eager_reference();
+
+  apl::cancel::Token tok;
+  apl::cancel::Scope scope(&tok);
+  apl::ThreadPool pool(2);
+  auto s = build_sys();
+  s->ctx.set_tile_team(&pool);
+  s->ctx.set_tile_size(5);
+  s->ctx.set_lazy(true);
+  enqueue_program(*s);
+  tok.cancel(apl::cancel::Reason::kDeadline);
+  EXPECT_THROW(s->ctx.flush(), apl::cancel::Cancelled);
+  ASSERT_TRUE(s->ctx.chain_resumable());
+
+  // The chain parked round-wise; with the team gone it resumes through the
+  // same rounds, each run serially in ascending tile order.
+  s->ctx.set_tile_team(nullptr);
+  ASSERT_FALSE(s->ctx.tile_team_enabled());
+  tok.reset();
+  s->ctx.flush();
+  EXPECT_FALSE(s->ctx.chain_resumable());
+  EXPECT_GT(s->ctx.chain_stats().rounds, 0u);
+  EXPECT_TRUE(bitwise_equal(ref, state_of(*s)))
+      << "serial round resume diverged from eager";
+}
+
 std::atomic<int>* g_round_ticks = nullptr;
 apl::cancel::Token* g_round_preempt_token = nullptr;
 

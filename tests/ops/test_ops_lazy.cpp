@@ -1,11 +1,15 @@
 // Lazy loop-chain engine tests: flush points (reduction read, raw data
-// access, explicit flush, halo transfer), dependency-analysis skews, and
-// bit-equivalence of tiled execution against eager execution.
+// access, explicit flush, halo transfer), dependency-analysis skews,
+// bit-equivalence of tiled execution against eager execution, and the
+// park/resume contract of an interrupted or failed flush.
 #include <array>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "apl/cancel.hpp"
 #include "apl/testkit/fixtures.hpp"
 #include "ops/ops.hpp"
 
@@ -265,6 +269,139 @@ TEST(OpsLazy, UntiledChainsCountAsVerbatim) {
   EXPECT_EQ(st.flushes, 2u);
   EXPECT_EQ(st.verbatim, st.flushes);
   EXPECT_EQ(st.rounds, 0u);
+}
+
+// ---- interrupted and failed flushes -----------------------------------------
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void add_one(Heat2D& h) {
+  ops::par_loop(h.ctx, "add_one", *h.grid, Range::dim2(0, h.n, 0, h.n),
+                [](ops::Acc<double> u) { u(0, 0) += 1.0; },
+                ops::arg(*h.u, Access::kRW));
+}
+
+/// Tiled chain: init, two Jacobi sweeps, then two `u += 1` loops.
+void tiled_program(Heat2D& h) {
+  h.ctx.set_lazy(true);
+  h.ctx.set_tile_rows(4);
+  h.init();
+  h.sweep();
+  h.sweep();
+  add_one(h);
+  add_one(h);
+}
+
+TEST(OpsLazy, CancelledFlushParksAndResumes) {
+  Heat2D ref;
+  tiled_program(ref);
+  add_one(ref);
+  ref.ctx.flush();
+
+  Heat2D h;
+  tiled_program(h);
+  apl::cancel::Token tok;
+  {
+    apl::cancel::Scope scope(&tok);
+    tok.cancel(apl::cancel::Reason::kUser);
+    EXPECT_THROW(h.ctx.flush(), apl::cancel::Cancelled);
+  }
+  // The chain parked before its first step: nothing ran, nothing is lost,
+  // and the context is still lazy rather than stuck mid-flush.
+  EXPECT_TRUE(h.ctx.chain_resumable());
+  EXPECT_FALSE(h.ctx.chain_executing());
+  EXPECT_EQ(h.ctx.chain_length(), 0u);
+  EXPECT_EQ(h.ctx.chain_stats().flushes, 1u);
+
+  add_one(h);
+  EXPECT_EQ(h.ctx.chain_length(), 1u) << "par_loop ran eagerly";
+  h.ctx.flush();  // completes the parked chain, then the new loop
+  EXPECT_FALSE(h.ctx.chain_resumable());
+  EXPECT_EQ(h.ctx.chain_stats().loops, ref.ctx.chain_stats().loops);
+  EXPECT_EQ(h.ctx.profile().stats("add_one").calls, 3u);
+  EXPECT_TRUE(bitwise_equal(h.u->to_vector(), ref.u->to_vector()))
+      << "resumed chain diverged from the uncancelled run";
+}
+
+int g_ops_ticks = 0;
+apl::cancel::Token* g_ops_preempt = nullptr;
+
+TEST(OpsLazy, PreemptParksAtOpBoundaryThenResumes) {
+  // Untiled, each record is one schedule op, so a preemption requested by
+  // the second loop takes effect at the op boundary after it.
+  Heat2D ref;
+  ref.ctx.set_lazy(true);
+  ref.ctx.set_tiling(false);
+  ref.init();
+  ref.sweep();
+  add_one(ref);
+  ref.ctx.flush();
+
+  Heat2D h;
+  h.ctx.set_lazy(true);
+  h.ctx.set_tiling(false);
+  apl::cancel::Token tok;
+  apl::cancel::Scope scope(&tok);
+  g_ops_ticks = 0;
+  g_ops_preempt = &tok;
+  h.init();
+  ops::par_loop(h.ctx, "jacobi", *h.grid, Range::dim2(0, h.n, 0, h.n),
+                [](ops::Acc<double> u, ops::Acc<double> out) {
+                  if (++g_ops_ticks == 1) g_ops_preempt->request_preempt();
+                  out(0, 0) = 0.25 * (u(1, 0) + u(-1, 0) + u(0, 1) + u(0, -1));
+                },
+                ops::arg(*h.u, *h.five, Access::kRead),
+                ops::arg(*h.unew, Access::kWrite));
+  ops::par_loop(h.ctx, "copy", *h.grid, Range::dim2(0, h.n, 0, h.n),
+                [](ops::Acc<double> out, ops::Acc<double> u) {
+                  u(0, 0) = out(0, 0);
+                },
+                ops::arg(*h.unew, Access::kRead),
+                ops::arg(*h.u, Access::kWrite));
+  add_one(h);
+  try {
+    h.ctx.flush();
+    FAIL() << "flush ignored the preemption request";
+  } catch (const apl::cancel::Cancelled& c) {
+    EXPECT_EQ(c.reason(), apl::cancel::Reason::kPreempt);
+    EXPECT_NE(std::string(c.what()).find("op boundary 2"), std::string::npos)
+        << c.what();
+  }
+  ASSERT_TRUE(h.ctx.chain_resumable());
+  EXPECT_EQ(g_ops_ticks, h.n * h.n) << "the running op did not finish";
+
+  tok.clear_preempt();
+  h.ctx.flush();
+  EXPECT_FALSE(h.ctx.chain_resumable());
+  EXPECT_EQ(h.ctx.profile().stats("jacobi").calls, 1u);
+  EXPECT_TRUE(bitwise_equal(h.u->to_vector(), ref.u->to_vector()));
+}
+
+TEST(OpsLazy, ThrowingKernelLeavesContextLazy) {
+  Heat2D h;
+  h.ctx.set_lazy(true);
+  h.init();
+  ops::par_loop(h.ctx, "throws", *h.grid, Range::dim2(0, h.n, 0, h.n),
+                [](ops::Acc<double>) { throw std::runtime_error("kernel"); },
+                ops::arg(*h.u, Access::kRW));
+  EXPECT_THROW(h.ctx.flush(), std::runtime_error);
+  // The failed chain is dropped, not parked, and the context queues again.
+  EXPECT_FALSE(h.ctx.chain_executing());
+  EXPECT_FALSE(h.ctx.chain_resumable());
+
+  add_one(h);
+  add_one(h);
+  EXPECT_EQ(h.ctx.chain_length(), 2u) << "par_loop ran eagerly";
+  h.ctx.flush();
+  EXPECT_EQ(h.ctx.chain_stats().flushes, 2u);
+  Heat2D eager;
+  eager.init();
+  add_one(eager);
+  add_one(eager);
+  EXPECT_TRUE(bitwise_equal(h.u->to_vector(), eager.u->to_vector()));
 }
 
 }  // namespace
