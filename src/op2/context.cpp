@@ -173,16 +173,22 @@ const Plan& Context::plan_for(const PlanRequest& req) {
   apl::require(req.set != nullptr, "plan_for: request names no set");
   const Set& set = *req.set;
   const index_t block_size = req.block_size > 0 ? req.block_size : block_size_;
-  PlanKey key{req.loop, set.id(), req.args, block_size};
+  // Compared in place: a hit, the steady state, copies nothing.
   for (auto& [k, plan] : plans_) {
-    if (k == key) return *plan;
+    if (k.set_id == set.id() && k.block_size == block_size &&
+        k.loop == req.loop && std::ranges::equal(k.args, req.args)) {
+      return *plan;
+    }
   }
 
+  PlanKey key{std::string(req.loop), set.id(),
+              std::vector<ArgInfo>(req.args.begin(), req.args.end()),
+              block_size};
   const double t0 = apl::now_seconds();
   apl::plan_cache::Key ck;
   ck.kind = "op2";
   ck.topology = topology_hash();
-  ck.program = program_hash(set, req.args, block_size);
+  ck.program = program_hash(set, key.args, block_size);
   // The plan's structure does not depend on the backend, but the
   // execution strategy a process runs decides which plans it touches;
   // keying on it keeps a warm run's hit count exactly its plan count.
@@ -190,18 +196,18 @@ const Plan& Context::plan_for(const PlanRequest& req) {
   cfg.pod(static_cast<std::uint32_t>(backend()));
   ck.config = cfg.value();
   ck.version = kPlanIrVersion;
-  ck.label = req.loop;
+  ck.label = key.loop;
   // The build span is a kLoop span, so first-call plan construction is
   // distinguishable from steady-state color rounds in the trace.
   auto plan = std::make_unique<Plan>(apl::plan_cache::load_or_build<Plan>(
       ck,
-      {apl::trace::kPlan, "plan_hit:" + req.loop, apl::trace::kLoop,
-       "plan:" + req.loop, static_cast<std::uint64_t>(set.size())},
+      {apl::trace::kPlan, "plan_hit:" + key.loop, apl::trace::kLoop,
+       "plan:" + key.loop, static_cast<std::uint64_t>(set.size())},
       [&](std::span<const std::uint8_t> payload, std::string* diag) {
         return decode_plan(payload, set.core_size(), diag);
       },
       [&](apl::trace::Span&) {
-        return detail::build_plan(*this, set, req.args, block_size);
+        return detail::build_plan(*this, set, key.args, block_size);
       },
       encode_plan));
   add_plan_seconds(apl::now_seconds() - t0);
@@ -209,9 +215,9 @@ const Plan& Context::plan_for(const PlanRequest& req) {
   // Audit both paths in guarded mode: a deserialized plan is input from
   // disk, and kPlan is exactly the proof that it is still race-free.
   if (verifying(apl::verify::kPlan)) {
-    const std::string diag = audit_plan(*this, set, req.args, *plan);
+    const std::string diag = audit_plan(*this, set, key.args, *plan);
     if (!diag.empty()) {
-      verify_report().fail(req.loop, apl::verify::kPlan, diag);
+      verify_report().fail(key.loop, apl::verify::kPlan, diag);
     }
   }
   plans_.emplace_back(std::move(key), std::move(plan));

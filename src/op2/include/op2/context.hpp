@@ -193,7 +193,6 @@ private:
     index_t set_id;
     std::vector<ArgInfo> args;
     index_t block_size;
-    bool operator==(const PlanKey&) const = default;
   };
 
   std::vector<std::unique_ptr<Set>> sets_;

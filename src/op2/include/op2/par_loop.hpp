@@ -25,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -585,14 +586,16 @@ void par_loop(Context& ctx, const std::string& name, const Set& set,
                     detail::run_simd(*sp, kernel, as...);
                     break;
                   case apl::exec::Backend::kThreads: {
-                    std::vector<ArgInfo> infos{as.info()...};
+                    const std::array<ArgInfo, sizeof...(as)> infos{
+                        as.info()...};
                     detail::run_threads(ctx, name, *sp,
                                         ctx.plan_for({name, sp, infos}),
                                         kernel, as...);
                     break;
                   }
                   case apl::exec::Backend::kCudaSim: {
-                    std::vector<ArgInfo> infos{as.info()...};
+                    const std::array<ArgInfo, sizeof...(as)> infos{
+                        as.info()...};
                     detail::run_cudasim(ctx, name, *sp,
                                         ctx.plan_for({name, sp, infos}),
                                         kernel, as...);

@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "op2/arg.hpp"
@@ -28,11 +29,13 @@ class Context;
 /// acquisition — par_loop, the distributed layer, tools and tests all go
 /// through `Context::plan_for(PlanRequest)`; the coloring pipeline itself
 /// (`detail::build_plan`) is an internal detail.
+/// The request views the caller's name and arguments; plan_for copies
+/// them only when it builds a plan, so a memo hit allocates nothing.
 struct PlanRequest {
-  std::string loop;            ///< label for traces/diagnostics/profile
-  const Set* set = nullptr;    ///< iteration set
-  std::vector<ArgInfo> args;   ///< the loop's argument signature
-  index_t block_size = 0;      ///< 0: use the context's block size
+  std::string_view loop;          ///< label for traces/diagnostics/profile
+  const Set* set = nullptr;       ///< iteration set
+  std::span<const ArgInfo> args;  ///< the loop's argument signature
+  index_t block_size = 0;         ///< 0: use the context's block size
 };
 
 struct Plan {

@@ -793,26 +793,36 @@ const TileSchedule& Context::plan_for(const ChainPlanRequest& req) {
           {apl::trace::kPlan, "chain_hit:" + req.label, apl::trace::kPlan,
            "chain_analyze:" + req.label, chain.size()},
           [&](std::span<const std::uint8_t> payload, std::string* diag) {
-            return decode_tile_schedule(payload, chain, diag);
+            std::optional<TileSchedule> got =
+                decode_tile_schedule(payload, chain, diag);
+            // Under OPAL_VERIFY=plan a loaded schedule must also pass the
+            // race audit. It is input from disk: one that decodes but no
+            // longer preserves the chain's dependences is corrupt, so it
+            // is re-inspected rather than reported as a planner bug.
+            if (got && verifying(apl::verify::kPlan)) {
+              const std::string why = audit_tile_schedule(*this, chain, *got);
+              if (!why.empty()) {
+                if (diag != nullptr) *diag = "op2chain-ir: audit: " + why;
+                got.reset();
+              }
+            }
+            return got;
           },
           [&](apl::trace::Span& span) {
             TileSchedule built = detail::build_tile_schedule(*this, chain);
             span.set_index(built.fused ? built.ntiles : 0);
+            // A fresh schedule that fails the audit is an inspector bug.
+            if (verifying(apl::verify::kPlan)) {
+              const std::string why = audit_tile_schedule(*this, chain, built);
+              if (!why.empty()) {
+                verify_report().fail(req.label, apl::verify::kPlan, why);
+              }
+            }
             return built;
           },
           encode_tile_schedule));
   sched->signature = key;
   add_plan_seconds(apl::now_seconds() - t0);
-
-  // Audit both paths under OPAL_VERIFY=plan: a deserialized schedule is
-  // input from disk, and the race audit is exactly the proof it still
-  // preserves the chain's dependences.
-  if (verifying(apl::verify::kPlan)) {
-    const std::string diag = audit_tile_schedule(*this, chain, *sched);
-    if (!diag.empty()) {
-      verify_report().fail(req.label, apl::verify::kPlan, diag);
-    }
-  }
   const auto [it, inserted] = tile_schedules_.emplace(key, std::move(sched));
   return *it->second;
 }

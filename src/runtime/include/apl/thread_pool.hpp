@@ -10,7 +10,9 @@
 // Two usage modes share the same workers:
 //
 //   * team mode   — run_team / parallel_for broadcast one body to every
-//                   member and barrier until all finish. Concurrent
+//                   member and barrier until all finish (a parallel_for
+//                   with a single chunk skips the team and runs on the
+//                   caller — see parallel_for). Concurrent
 //                   run_team calls (e.g. two served jobs both on the
 //                   threads backend) are serialized through a team lease,
 //                   so the broadcast state is never shared between teams.
@@ -33,6 +35,12 @@
 //                   work whose owner (e.g. apl::serve) installs its own
 //                   scopes inside the task body.
 //
+// Fork/join cost: a worker that finishes a team body, and a caller waiting
+// at the barrier, spin for a short bounded window before they block on
+// their condition variable (the OpenMP/libgomp wait policy), so
+// back-to-back loops find the team awake instead of paying a futex
+// wake-up per dispatch. DESIGN.md §6 has the measurements.
+//
 // Shutdown semantics: drain() closes the task queue — subsequent
 // submit() calls are rejected with the typed Drained error, never
 // silently accepted — and blocks until every queued and running task has
@@ -41,6 +49,7 @@
 // queued drains them first rather than dropping them silently.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -88,8 +97,12 @@ public:
   /// exception is rethrown here.
   void run_team(const std::function<void(std::size_t)>& body);
 
-  /// Splits [0, n) into size() contiguous chunks and runs
-  /// body(begin, end, thread_id) on each team member.
+  /// Splits [0, n) into size() contiguous chunks of ceil(n / size())
+  /// items and runs body(begin, end, thread_id) on each member whose chunk
+  /// is non-empty. When there is only one chunk (n == 1, or a one-member
+  /// pool) the body runs directly on the calling thread as member 0:
+  /// exactly the partition the team would produce, without the scope
+  /// snapshot, the team lease or the barrier.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t,
                                              std::size_t)>& body);
@@ -132,12 +145,15 @@ private:
   const std::function<void(std::size_t)>* job_ = nullptr;
   const scope::Snapshot* team_snapshot_ = nullptr;
   std::exception_ptr team_error_;
-  std::size_t generation_ = 0;
-  std::size_t remaining_ = 0;
+  // Written under mutex_ (so a blocking waiter never misses a change) and
+  // read without it by spinning members.
+  std::atomic<std::size_t> generation_{0};
+  std::atomic<std::size_t> remaining_{0};
+  std::atomic<std::size_t> queued_{0};  ///< tasks_.size()
+  std::atomic<bool> stop_{false};
   std::deque<std::function<void()>> tasks_;
   std::size_t tasks_running_ = 0;
   bool drained_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace apl

@@ -3,11 +3,15 @@
 // robustness sweep included), the race/dependence audit, plan_for
 // memoization, the warm-start differential (zero inspector runs on the
 // warm side, bitwise-identical results), IR-version partitioning, and the
-// corrupt-entry fallback to a fresh inspection with a named diagnostic.
+// corrupt-entry fallback to a fresh inspection with a named diagnostic —
+// for a flipped bit and for each decoder and audit rejection of a
+// doctored schedule.
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "apl/io/plan_cache.hpp"
 #include "apl/trace.hpp"
 #include "op2/op2.hpp"
+#include "../support/plan_cache_entries.hpp"
 
 namespace {
 
@@ -83,8 +88,11 @@ std::unique_ptr<LazySys> build_sys() {
 /// Three steps of relax -> gather -> scatter with no flush in between: a
 /// 9-loop chain whose cross-loop dependences run both directions through
 /// the map. Returns x ++ y after the final flush.
-std::vector<double> run_program(bool lazy, op2::index_t tile = 5) {
+/// `audit` arms the OPAL_VERIFY=plan race audit of chain schedules.
+std::vector<double> run_program(bool lazy, op2::index_t tile = 5,
+                                bool audit = false) {
   auto s = build_sys();
+  if (audit) s->ctx.set_verify(s->ctx.verify_checks() | apl::verify::kPlan);
   if (tile > 0) s->ctx.set_tile_size(tile);
   if (lazy) s->ctx.set_lazy(true);
   for (int step = 0; step < 3; ++step) {
@@ -185,6 +193,42 @@ TEST(TileSchedule, AuditCatchesDoctoredBounds) {
   ASSERT_FALSE(diag.empty());
   EXPECT_NE(diag.find("gather"), std::string::npos) << diag;
   EXPECT_NE(diag.find("x"), std::string::npos) << diag;
+}
+
+TEST(TileSchedule, AuditCatchesMalformedStructure) {
+  // The audit repeats the decoder's structural checks, so a schedule that
+  // never went through decode (built, then damaged in memory) is caught
+  // too. Each damage must be named.
+  auto s = build_sys();
+  s->ctx.set_tile_size(5);
+  const auto chain = synthetic_chain(*s);
+  const op2::TileSchedule good = op2::detail::build_tile_schedule(s->ctx, chain);
+  ASSERT_TRUE(good.fused);
+  ASSERT_GE(good.ntiles, 3);
+  const std::pair<std::function<void(op2::TileSchedule&)>, std::string>
+      cases[] = {
+          {[](op2::TileSchedule& t) { t.loop_n.pop_back(); },
+           "schedule covers 2 loops, chain has 3"},
+          {[](op2::TileSchedule& t) { ++t.loop_n[0]; },
+           "loop 'relax' planned for"},
+          {[](op2::TileSchedule& t) { --t.bounds[0].back(); },
+           "slices do not cover"},
+          {[](op2::TileSchedule& t) {
+             t.bounds[0][1] = t.bounds[0][2] + 1;
+           },
+           "not monotone"},
+          {[](op2::TileSchedule& t) { t.colors.pop_back(); },
+           "color table has wrong size"},
+          {[](op2::TileSchedule& t) { t.colors[0] = t.ncolors; },
+           "color out of range"},
+      };
+  for (const auto& [damage, named] : cases) {
+    op2::TileSchedule bad = good;
+    damage(bad);
+    const std::string diag = op2::audit_tile_schedule(s->ctx, chain, bad);
+    EXPECT_NE(diag.find(named), std::string::npos)
+        << "expected \"" << named << "\", got \"" << diag << '"';
+  }
 }
 
 // ---- schedule IR codec ------------------------------------------------------
@@ -357,6 +401,158 @@ TEST(TileCacheWarm, CorruptEntryFallsBackToFreshInspection) {
   EXPECT_FALSE(Store::global().last_diagnostic().empty());
   EXPECT_TRUE(bitwise_equal(baseline, warm))
       << "corrupt cache entry altered results";
+}
+
+// ---- doctored entries: every rejection falls back cleanly -------------------
+
+/// A chain as decode_tile_schedule sees it: it reads only each record's
+/// element count.
+std::vector<op2::LoopRecord> chain_of_sizes(std::vector<op2::index_t> ns) {
+  std::vector<op2::LoopRecord> chain(ns.size());
+  for (std::size_t l = 0; l < ns.size(); ++l) chain[l].n = ns[l];
+  return chain;
+}
+
+/// run_program's 9-loop chain: relax over nodes, gather and scatter over
+/// edges, three times.
+std::vector<op2::LoopRecord> program_chain() {
+  return chain_of_sizes({kNodes, kEdges, kEdges, kNodes, kEdges, kEdges,
+                         kNodes, kEdges, kEdges});
+}
+
+/// A chain whose only cross-loop dependence is write-after-read: "sum"
+/// reads x through the map, then "reset" overwrites x without reading it.
+/// Returns x ++ y after the flush; `audit` arms OPAL_VERIFY=plan.
+std::vector<double> run_war_program(bool audit) {
+  auto s = build_sys();
+  if (audit) s->ctx.set_verify(s->ctx.verify_checks() | apl::verify::kPlan);
+  s->ctx.set_tile_size(5);
+  s->ctx.set_lazy(true);
+  op2::par_loop(
+      s->ctx, "sum", *s->edges,
+      [](op2::Acc<double> w, op2::Acc<double> a, op2::Acc<double> b) {
+        w[0] = a[0] + b[0];
+      },
+      op2::arg(*s->y, Access::kWrite),
+      op2::arg(*s->x, *s->e2n, 0, Access::kRead),
+      op2::arg(*s->x, *s->e2n, 1, Access::kRead));
+  op2::par_loop(
+      s->ctx, "reset", *s->nodes, [](op2::Acc<double> v) { v[0] = 0.75; },
+      op2::arg(*s->x, Access::kWrite));
+  s->ctx.flush();
+  std::vector<double> out = s->x->to_vector();
+  const std::vector<double> ye = s->y->to_vector();
+  out.insert(out.end(), ye.begin(), ye.end());
+  return out;
+}
+
+/// Cold run of `run`, then `doctor` edits the cached fused schedule of
+/// `chain`. The warm run must count the entry corrupt with a diagnostic
+/// naming `why`, inspect the chain afresh and match the cold run bitwise.
+void expect_reinspected(const std::string& cache_name,
+                        const std::function<bool(op2::TileSchedule&)>& doctor,
+                        const std::string& why,
+                        const std::function<std::vector<double>()>& run =
+                            [] { return run_program(true); },
+                        const std::vector<op2::LoopRecord>& chain =
+                            program_chain()) {
+  CacheDir cache(cache_name);
+  const std::vector<double> cold = run();
+  const std::size_t rewritten = test_support::rewrite_entries(
+      Store::global(), "op2chain", [&](std::vector<std::uint8_t>& payload) {
+        std::string diag;
+        auto sched = op2::decode_tile_schedule(payload, chain, &diag);
+        if (!sched || !sched->fused || !doctor(*sched)) return false;
+        payload = op2::encode_tile_schedule(*sched);
+        return true;
+      });
+  ASSERT_EQ(rewritten, 1u) << "the chain's cached schedule was not doctored";
+
+  Recorder::global().clear();
+  Recorder::global().set_enabled(true);
+  const std::vector<double> warm = run();
+  Recorder::global().set_enabled(false);
+  const auto evs = Recorder::global().snapshot();
+  Recorder::global().clear();
+  std::size_t analyzed = 0;
+  for (const auto& e : evs) {
+    if (e.name.rfind("chain_analyze:op2chain", 0) == 0) ++analyzed;
+  }
+
+  EXPECT_EQ(Store::global().stats().corrupt, 1u);
+  const std::string& diag = Store::global().last_diagnostic();
+  EXPECT_NE(diag.find("op2chain-ir: " + why), std::string::npos) << diag;
+  EXPECT_EQ(analyzed, 1u) << "the doctored chain was not inspected afresh";
+  EXPECT_TRUE(bitwise_equal(cold, warm))
+      << "doctored cache entry altered results";
+}
+
+TEST(TileCacheDoctored, VerbatimScheduleWithTileSectionsIsRejected) {
+  expect_reinspected(
+      "op2_doctor_verbatim",
+      [](op2::TileSchedule& t) {
+        t.fused = false;  // the encoder still writes the color table
+        return true;
+      },
+      "verbatim schedule carries tile sections");
+}
+
+TEST(TileCacheDoctored, ColorTableSizeIsRejected) {
+  expect_reinspected(
+      "op2_doctor_color_size",
+      [](op2::TileSchedule& t) {
+        t.colors.pop_back();
+        return true;
+      },
+      "color table has wrong size");
+}
+
+TEST(TileCacheDoctored, SliceCoverageIsRejected) {
+  expect_reinspected(
+      "op2_doctor_coverage",
+      [](op2::TileSchedule& t) {
+        --t.bounds[0].back();
+        return true;
+      },
+      "loop 0 slices do not cover [0, n)");
+}
+
+TEST(TileCacheDoctored, NonMonotoneSlicesAreRejected) {
+  expect_reinspected(
+      "op2_doctor_monotone",
+      [](op2::TileSchedule& t) {
+        if (t.ntiles < 3) return false;
+        t.bounds[0][1] = t.bounds[0][2] + 1;
+        return true;
+      },
+      "loop 0 slice boundaries not monotone");
+}
+
+TEST(TileCacheDoctored, ColorOutOfRangeIsRejected) {
+  expect_reinspected(
+      "op2_doctor_color_range",
+      [](op2::TileSchedule& t) {
+        t.colors[0] = t.ncolors;
+        return true;
+      },
+      "tile color out of range");
+}
+
+TEST(TileCacheDoctored, WriteAfterReadReplayIsRejected) {
+  // Structurally valid, so it decodes: pull every "reset" element into
+  // tile 0, ahead of the later "sum" tiles that still read the x entries
+  // it overwrites. Only the race audit's replay sees that; under
+  // OPAL_VERIFY=plan a loaded schedule failing it is corrupt input,
+  // re-inspected like any other.
+  expect_reinspected(
+      "op2_doctor_war",
+      [](op2::TileSchedule& t) {
+        auto& b = t.bounds[1];
+        for (std::size_t i = 1; i < b.size(); ++i) b[i] = b.back();
+        return true;
+      },
+      "audit: loop 'reset' dat 'x'", [] { return run_war_program(true); },
+      chain_of_sizes({kEdges, kNodes}));
 }
 
 }  // namespace

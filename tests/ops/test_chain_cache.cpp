@@ -1,11 +1,14 @@
 // OPS chain-schedule IR and cache: codec round trips, decode validation
 // against the live chain (bit-flip robustness sweep included), plan_for
 // memoization, the CloverLeaf warm-start differential (zero chain
-// analysis, bitwise-identical results), and a testkit sweep with the
-// cache enabled end to end.
+// analysis, bitwise-identical results), one doctored-entry fallback per
+// decoder rejection, and a testkit sweep with the cache enabled end to
+// end.
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "apl/trace.hpp"
 #include "cloverleaf/cloverleaf_ops.hpp"
 #include "ops/ops.hpp"
+#include "../support/plan_cache_entries.hpp"
 
 namespace {
 
@@ -220,6 +224,193 @@ TEST(ChainCacheWarm, CacheOffAndOnAgree) {
   EXPECT_EQ(std::memcmp(plain.data(), cached.data(),
                         plain.size() * sizeof(double)),
             0);
+}
+
+// ---- doctored entries: every decoder rejection falls back cleanly ----------
+
+/// The heat grid plus a second block: one flushed chain of jacobi and copy
+/// on the grid, then a scale loop on the side block — two groups, the
+/// first a tiled segment with real skews.
+struct TwoBlocks : Heat2D {
+  ops::Block* side = nullptr;
+  ops::Dat<double>* s = nullptr;
+
+  TwoBlocks() : Heat2D(16) {
+    // Guarded kAccess runs every loop eagerly, bypassing the cache.
+    ctx.set_verify(ctx.verify_checks() & ~apl::verify::kAccess);
+    side = &ctx.decl_block(2, "side");
+    s = &ctx.decl_dat<double>(*side, 1, {8, 8, 1}, {1, 1, 0}, {1, 1, 0},
+                              "s");
+  }
+
+  Range side_range() const { return Range::dim2(0, 8, 0, 8); }
+
+  /// The flushed chain's records as decode_schedule sees them (it reads
+  /// only the record count and each record's block).
+  std::vector<ops::LoopRecord> chain() const {
+    return {record_of(*grid, interior(), {}), record_of(*grid, interior(), {}),
+            record_of(*side, side_range(), {})};
+  }
+};
+
+/// Runs the two-block chain lazily with 4-row tiles and returns u ++ s.
+std::vector<double> run_two_blocks() {
+  TwoBlocks p;
+  ops::par_loop(p.ctx, "init", *p.grid, p.with_halo(),
+                [](ops::Acc<double> u, const int* idx) {
+                  u(0, 0) = 0.5 + 0.01 * idx[0] + 0.02 * idx[1];
+                },
+                ops::arg(*p.u, Access::kWrite), ops::arg_idx());
+  ops::par_loop(p.ctx, "init_side", *p.side, p.side_range(),
+                [](ops::Acc<double> s, const int* idx) {
+                  s(0, 0) = 0.25 * idx[0] - 0.125 * idx[1];
+                },
+                ops::arg(*p.s, Access::kWrite), ops::arg_idx());
+  p.ctx.set_tile_rows(4);
+  p.ctx.set_lazy(true);
+  ops::par_loop(p.ctx, "jacobi", *p.grid, p.interior(),
+                [](ops::Acc<double> u, ops::Acc<double> out) {
+                  out(0, 0) = 0.25 * (u(1, 0) + u(-1, 0) + u(0, 1) + u(0, -1));
+                },
+                ops::arg(*p.u, *p.five, Access::kRead),
+                ops::arg(*p.t, Access::kWrite));
+  ops::par_loop(p.ctx, "copy", *p.grid, p.interior(),
+                [](ops::Acc<double> out, ops::Acc<double> u) {
+                  u(0, 0) = out(0, 0);
+                },
+                ops::arg(*p.t, Access::kRead), ops::arg(*p.u, Access::kWrite));
+  ops::par_loop(p.ctx, "scale", *p.side, p.side_range(),
+                [](ops::Acc<double> s) { s(0, 0) = 2.0 * s(0, 0) + 1.0; },
+                ops::arg(*p.s, Access::kRW));
+  p.ctx.flush();
+  std::vector<double> out = p.u->to_vector();
+  const std::vector<double> side = p.s->to_vector();
+  out.insert(out.end(), side.begin(), side.end());
+  return out;
+}
+
+ChainSchedule::Op* tiled_op(ChainSchedule& sched) {
+  for (ChainSchedule::Op& op : sched.ops) {
+    if (op.kind == ChainSchedule::OpKind::kTiledSegment && op.count > 1) {
+      return &op;
+    }
+  }
+  return nullptr;
+}
+
+/// Cold run, then `doctor` edits the cached schedule (false: not
+/// applicable). The warm run must count the entry corrupt with a
+/// diagnostic naming `why`, analyze the chain afresh and match the cold
+/// run bitwise.
+void expect_reinspected(const std::string& cache_name,
+                        const std::function<bool(ChainSchedule&)>& doctor,
+                        const std::string& why) {
+  CacheDir cache(cache_name);
+  const std::vector<double> cold = run_two_blocks();
+  const TwoBlocks live;
+  const std::vector<ops::LoopRecord> chain = live.chain();
+  const std::size_t rewritten = test_support::rewrite_entries(
+      Store::global(), "ops", [&](std::vector<std::uint8_t>& payload) {
+        std::string diag;
+        auto sched = ops::decode_schedule(payload, live.ctx, chain, &diag);
+        if (!sched || !doctor(*sched)) return false;
+        payload = ops::encode_schedule(*sched);
+        return true;
+      });
+  ASSERT_EQ(rewritten, 1u) << "the chain's cached schedule was not doctored";
+
+  Recorder::global().clear();
+  Recorder::global().set_enabled(true);
+  const std::vector<double> warm = run_two_blocks();
+  Recorder::global().set_enabled(false);
+  const auto evs = Recorder::global().snapshot();
+  Recorder::global().clear();
+  std::size_t analyzed = 0;
+  for (const auto& e : evs) {
+    if (e.name.rfind("chain_analyze", 0) == 0) ++analyzed;
+  }
+
+  EXPECT_EQ(Store::global().stats().corrupt, 1u);
+  const std::string& diag = Store::global().last_diagnostic();
+  EXPECT_NE(diag.find("chain-ir: " + why), std::string::npos) << diag;
+  EXPECT_EQ(analyzed, 1u) << "the doctored chain was not analyzed afresh";
+  ASSERT_EQ(cold.size(), warm.size());
+  EXPECT_EQ(
+      std::memcmp(cold.data(), warm.data(), cold.size() * sizeof(double)), 0)
+      << "doctored cache entry altered results";
+}
+
+TEST(ChainCacheDoctored, OutOfOrderGroupIsRejected) {
+  expect_reinspected(
+      "ops_doctor_order",
+      [](ChainSchedule& s) {
+        if (s.groups.empty() || s.groups[0].size() < 2) return false;
+        std::swap(s.groups[0][0], s.groups[0][1]);
+        return true;
+      },
+      "group violates chain order or mixes blocks");
+}
+
+TEST(ChainCacheDoctored, GroupMixingBlocksIsRejected) {
+  expect_reinspected(
+      "ops_doctor_blocks",
+      [](ChainSchedule& s) {
+        if (s.groups.size() != 2) return false;
+        s.groups[0].insert(s.groups[0].end(), s.groups[1].begin(),
+                           s.groups[1].end());
+        s.groups.pop_back();
+        return true;
+      },
+      "group violates chain order or mixes blocks");
+}
+
+TEST(ChainCacheDoctored, TiledSegmentGeometryIsRejected) {
+  expect_reinspected(
+      "ops_doctor_geometry",
+      [](ChainSchedule& s) {
+        ChainSchedule::Op* op = tiled_op(s);
+        if (op == nullptr) return false;
+        op->h = 0;
+        return true;
+      },
+      "tiled segment has invalid geometry");
+}
+
+TEST(ChainCacheDoctored, SkewTableRangeIsRejected) {
+  expect_reinspected(
+      "ops_doctor_skew_range",
+      [](ChainSchedule& s) {
+        ChainSchedule::Op* op = tiled_op(s);
+        if (op == nullptr) return false;
+        op->skews.pop_back();
+        return true;
+      },
+      "tiled segment skew table out of range");
+}
+
+TEST(ChainCacheDoctored, IncreasingSkewsAreRejected) {
+  expect_reinspected(
+      "ops_doctor_skew_order",
+      [](ChainSchedule& s) {
+        ChainSchedule::Op* op = tiled_op(s);
+        if (op == nullptr) return false;
+        op->skews[1] = op->skews[0] + 1;
+        return true;
+      },
+      "tiled segment skews increase along the chain");
+}
+
+TEST(ChainCacheDoctored, PartiallyScheduledGroupIsRejected) {
+  expect_reinspected(
+      "ops_doctor_partial",
+      [](ChainSchedule& s) {
+        ChainSchedule::Op* op = tiled_op(s);
+        if (op == nullptr) return false;
+        op->count = 1;
+        op->skews.resize(1);
+        return true;
+      },
+      "group 0 left partially scheduled");
 }
 
 // ---- testkit sweep with the cache enabled -----------------------------------

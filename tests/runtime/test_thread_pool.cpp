@@ -1,10 +1,14 @@
 #include "apl/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +83,133 @@ TEST(ThreadPool, GlobalPoolExists) {
   std::atomic<int> c{0};
   apl::ThreadPool::global().run_team([&](std::size_t) { c.fetch_add(1); });
   EXPECT_EQ(c.load(), static_cast<int>(apl::ThreadPool::global().size()));
+}
+
+// ---- fork/join cost: inline single chunks, spin-then-block -------------------
+
+TEST(ThreadPool, ParallelForSingleChunkRunsOnCaller) {
+  apl::ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.parallel_for(1, [&](std::size_t b, std::size_t e, std::size_t tid) {
+    ++calls;  // unsynchronized on purpose: only the caller may run this
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 1u);
+    EXPECT_EQ(tid, 0u);
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_THROW(pool.parallel_for(1,
+                                 [](std::size_t, std::size_t, std::size_t) {
+                                   throw std::runtime_error("inline body");
+                                 }),
+               std::runtime_error);
+  // A one-member pool has a single chunk for every n.
+  apl::ThreadPool solo(1);
+  solo.parallel_for(5, [&](std::size_t b, std::size_t e, std::size_t tid) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 5u);
+    EXPECT_EQ(tid, 0u);
+  });
+}
+
+TEST(ThreadPool, ParallelForPartitionIsPinned) {
+  // Threaded reductions combine per-member slots in tid order, so their
+  // bits depend on which items each tid gets: the ceil-chunk split below,
+  // whether the dispatch runs inline or on the team.
+  using Triple = std::tuple<std::size_t, std::size_t, std::size_t>;
+  for (const std::size_t team : {1u, 2u, 3u, 4u, 8u}) {
+    apl::ThreadPool pool(team);
+    for (std::size_t n = 1; n <= 17; ++n) {
+      std::vector<Triple> expected;
+      const std::size_t chunk = (n + team - 1) / team;
+      for (std::size_t tid = 0; tid < team; ++tid) {
+        const std::size_t b = std::min(n, tid * chunk);
+        const std::size_t e = std::min(n, b + chunk);
+        if (b < e) expected.emplace_back(b, e, tid);
+      }
+      std::mutex mu;
+      std::vector<Triple> got;
+      pool.parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t tid) {
+        std::lock_guard<std::mutex> lock(mu);
+        got.emplace_back(b, e, tid);
+      });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "team " << team << ", n " << n;
+    }
+  }
+}
+
+TEST(ThreadPool, RunTeamWakesWorkersAfterIdle) {
+  // Each sleep outlasts the workers' spin window by two orders of
+  // magnitude, so every dispatch finds them blocked on the condition
+  // variable: the spin-timeout-then-block path must still wake them all.
+  apl::ThreadPool pool(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<std::atomic<int>> visits(4);
+    pool.run_team([&](std::size_t tid) { visits[tid].fetch_add(1); });
+    for (std::size_t t = 0; t < visits.size(); ++t) {
+      EXPECT_EQ(visits[t].load(), 1) << "member " << t << ", rep " << rep;
+    }
+  }
+}
+
+TEST(ThreadPool, DestroyWhileWorkersSpin) {
+  // Destruction right after a dispatch catches the workers mid-spin; stop
+  // must end the spin, not wait for a wake-up that never comes.
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int rep = 0; rep < 20; ++rep) {
+    apl::ThreadPool pool(4);
+    std::atomic<int> c{0};
+    pool.run_team([&](std::size_t) { c.fetch_add(1); });
+    EXPECT_EQ(c.load(), 4);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
+TEST(ThreadPoolTasks, TaskSubmittedDuringSpinRuns) {
+  // Right after a dispatch the workers spin on the generation; a task
+  // queued then must be picked up, not left for a sleeper that is absent.
+  apl::ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  for (int rep = 0; rep < 20; ++rep) {
+    pool.run_team([](std::size_t) {});
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  pool.drain();
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(ThreadPool, InlineParallelForTakesNoLease) {
+  // Member 0 of a team holds the lease until another thread's one-chunk
+  // parallel_for has returned. Were the inline path to take the lease,
+  // this would deadlock until the holder's deadline expires.
+  apl::ThreadPool pool(3);
+  std::atomic<bool> lease_held{false}, inline_done{false}, timed_out{false};
+  std::thread holder([&] {
+    pool.run_team([&](std::size_t tid) {
+      if (tid != 0) return;
+      lease_held.store(true);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!inline_done.load()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out.store(true);
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (!lease_held.load()) std::this_thread::yield();
+  int ran = 0;
+  pool.parallel_for(1, [&](std::size_t, std::size_t, std::size_t) { ++ran; });
+  inline_done.store(true);
+  holder.join();
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(timed_out.load()) << "inline parallel_for waited for the lease";
 }
 
 // ---- task mode (the apl::serve worker substrate) ----------------------------

@@ -84,13 +84,15 @@ resilience_tests "$build"
 # rounds plus bitwise agreement there too.
 "$build/tools/bench_report" --check-op2-tiling
 
-# Perf-trajectory stage: regenerate the checked-in per-loop benchmark
-# record (Airfoil lazy-tiled + CloverLeaf eager/lazy, roofline join and
+# Perf-trajectory stage: regenerate the per-loop benchmark record
+# (Airfoil lazy-tiled + CloverLeaf eager/lazy, roofline join and
 # fused-chain columns included, plus the plan-analysis cold/warm,
 # recovery-overhead/MTTR, multi-tenant service and eager-vs-tiled
-# columns). BENCH_pr8.json stays checked in as the eager trajectory
-# point the tiled fractions are measured against.
-(cd "$repo" && "$build/tools/bench_report" --out BENCH_pr10.json > /dev/null)
+# columns) into the build directory, so a CI run leaves the tree clean.
+# The checked-in BENCH_pr*.json files are the recorded trajectory points
+# (BENCH_pr8.json the eager one the tiled fractions are measured against);
+# compare against them, do not overwrite them.
+"$build/tools/bench_report" --out "$build/BENCH_pr10.json" > /dev/null
 
 if [[ -n "${CI_SANITIZE:-}" ]]; then
   san_build="$build-$CI_SANITIZE"

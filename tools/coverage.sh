@@ -12,7 +12,7 @@
 # For every src-file named (a path relative to the repository root, e.g.
 # src/op2/lazy.cpp or src/runtime/include/apl/chain.hpp) it also lists the
 # functions defined there that no tier-1 test reached — the candidates to
-# delete or to cover with a test.
+# delete or to cover with a test — and the line ranges no test executed.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -96,4 +96,14 @@ for rel in wanted:
     print(f"\n{rel}: {len(dead)} function(s) no tier-1 test reaches")
     for s, n in dead:
         print(f"  {rel}:{s}  {n}")
+    missed = sorted(n for n, ran in lines[rel].items() if not ran)
+    ranges = []
+    for n in missed:
+        if ranges and n == ranges[-1][1] + 1:
+            ranges[-1][1] = n
+        else:
+            ranges.append([n, n])
+    print(f"{rel}: {len(missed)} line(s) no tier-1 test executes: " +
+          (", ".join(str(a) if a == b else f"{a}-{b}" for a, b in ranges)
+           or "none"))
 EOF
