@@ -101,8 +101,8 @@ void CloverOps::enable_distributed(int nranks, apl::exec::Backend node_backend) 
   // The distributed layer drives rank-local loops itself; chains are
   // flushed and global lazy mode is dropped before handing the context
   // over. When the run was configured lazy, the rank contexts take over
-  // the chaining instead — pack/unpack accessors flush pending per-rank
-  // chains at exchange/fetch/scatter boundaries.
+  // the chaining instead — the exchange/fetch/scatter row copies reach
+  // rank storage through raw(), which flushes pending per-rank chains.
   const bool lazy = ctx_.lazy();
   ctx_.set_lazy(false);
   dist_ = std::make_unique<ops::Distributed>(ctx_, nranks);

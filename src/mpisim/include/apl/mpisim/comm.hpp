@@ -39,6 +39,12 @@ public:
     per_rank_sent_[src] += bytes;
     peers_[src].insert_or_assign(dst, true);
   }
+  /// Payload of a message already recorded by a header-only send, copied
+  /// outside the mailbox: counted in the byte tallies, not as a message.
+  void record_payload(int src, std::uint64_t bytes) {
+    total_bytes_ += bytes;
+    per_rank_sent_[src] += bytes;
+  }
   void record_allreduce(std::uint64_t bytes) {
     ++allreduces_;
     total_bytes_ += bytes;

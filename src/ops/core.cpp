@@ -1,6 +1,7 @@
 #include "ops/core.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "ops/context.hpp"
 
@@ -73,6 +74,32 @@ std::size_t DatBase::alloc_points() const {
 std::ptrdiff_t DatBase::offset_of(index_t i, index_t j, index_t k) const {
   return (i + d_m_[0]) * stride_[0] + (j + d_m_[1]) * stride_[1] +
          (k + d_m_[2]) * stride_[2];
+}
+
+void copy_rows(const DatBase& src, index_t i0, index_t i1, index_t j0,
+               index_t j1, DatBase& dst, index_t di, index_t dj) {
+  if (i1 <= i0 || j1 <= j0) return;
+  apl::require(&src != &dst && src.dim() == dst.dim() &&
+                   src.elem_bytes() == dst.elem_bytes(),
+               "ops::copy_rows: '", src.name(), "' -> '", dst.name(),
+               "' need distinct dats of one layout");
+  const auto inside = [](const DatBase& dat, index_t x0, index_t x1,
+                         index_t y0, index_t y1) {
+    return x0 >= -dat.d_m()[0] && x1 <= dat.size()[0] + dat.d_p()[0] &&
+           y0 >= -dat.d_m()[1] && y1 <= dat.size()[1] + dat.d_p()[1];
+  };
+  apl::require(inside(src, i0, i1, j0, j1) &&
+                   inside(dst, di, di + (i1 - i0), dj, dj + (j1 - j0)),
+               "ops::copy_rows: box outside '", src.name(), "' or '",
+               dst.name(), "'");
+  const std::size_t entry = src.dim() * src.elem_bytes();
+  const std::size_t row = static_cast<std::size_t>(i1 - i0) * entry;
+  const auto* s = static_cast<const std::uint8_t*>(src.raw());
+  auto* d = static_cast<std::uint8_t*>(dst.raw());
+  for (index_t j = j0; j < j1; ++j) {
+    std::memcpy(d + dst.offset_of(di, dj + (j - j0), 0) * entry,
+                s + src.offset_of(i0, j, 0) * entry, row);
+  }
 }
 
 std::size_t Range::points() const {

@@ -155,21 +155,17 @@ std::array<int, kMaxDim> Distributed::process_grid(const Block& block) const {
 
 std::size_t Distributed::halo_points(const DatBase& dat) const {
   const Decomp& dec = decomp_[dat.block().id()];
+  const std::size_t x_depth = dat.d_m()[0] + dat.d_p()[0];
+  const std::size_t y_depth = dat.d_m()[1] + dat.d_p()[1];
   std::size_t total = 0;
+  // One strip each way per neighbour pair, as exchange_halo copies them:
+  // x strips at full local height, y strips at full local width (halos
+  // included in both). The pair shares that extent.
   for (int r = 0; r < comm_.size(); ++r) {
-    const DatBase& rdat = rank_ctx_[r]->dat(dat.id());
     const auto rcoord = rank_coords(dec, r);
-    const auto a = rdat.alloc_size();
-    // x strips (interior height), both directions where a neighbour exists.
-    if (rcoord[0] > 0) total += static_cast<std::size_t>(dat.d_p()[0]) * rdat.size()[1];
-    if (rcoord[0] + 1 < dec.pgrid[0]) {
-      total += static_cast<std::size_t>(dat.d_m()[0]) * rdat.size()[1];
-    }
-    // y strips (full width including x halos).
-    if (rcoord[1] > 0) total += static_cast<std::size_t>(dat.d_p()[1]) * a[0];
-    if (rcoord[1] + 1 < dec.pgrid[1]) {
-      total += static_cast<std::size_t>(dat.d_m()[1]) * a[0];
-    }
+    const auto a = rank_ctx_[r]->dat(dat.id()).alloc_size();
+    if (rcoord[0] + 1 < dec.pgrid[0]) total += x_depth * a[1];
+    if (rcoord[1] + 1 < dec.pgrid[1]) total += y_depth * a[0];
   }
   return total;
 }
@@ -183,30 +179,24 @@ void Distributed::exchange_halo(index_t dat_id, apl::LoopStats* stats) {
   apl::trace::Span span(apl::trace::kHalo, "exchange:" + gdat.name());
   const Decomp& dec = decomp_[gdat.block().id()];
   const std::size_t entry = gdat.dim() * gdat.elem_bytes();
-  std::vector<std::uint8_t> buf(entry);
   std::uint64_t bytes = 0;
 
   // A strip copy between two rank dats: source interior columns/rows into
-  // the destination's halo. Executed directly (the byte traffic is metered
-  // through comm_ with one message per strip).
+  // the destination's halo. The header message carries the strip through
+  // the communicator's fault ledger; its bytes are metered against that one
+  // message and copied directly, a row at a time.
   const auto copy_strip = [&](int src, int dst, index_t sx0, index_t sx1,
                               index_t sy0, index_t sy1, index_t dx0,
                               index_t dy0, int tag) {
-    DatBase& sdat = rank_ctx_[src]->dat(dat_id);
-    DatBase& ddat = rank_ctx_[dst]->dat(dat_id);
     const std::uint64_t strip_bytes = static_cast<std::uint64_t>(sx1 - sx0) *
                                       (sy1 - sy0) * entry;
     if (strip_bytes == 0) return;
     comm_.send(src, dst, tag, std::vector<std::uint8_t>{});  // header only
     comm_.recv(dst, src, tag);
-    comm_.traffic().record(src, dst, strip_bytes);
+    comm_.traffic().record_payload(src, strip_bytes);
     bytes += strip_bytes;
-    for (index_t j = sy0; j < sy1; ++j) {
-      for (index_t i = sx0; i < sx1; ++i) {
-        sdat.pack_point(i, j, 0, buf.data());
-        ddat.unpack_point(dx0 + (i - sx0), dy0 + (j - sy0), 0, buf.data());
-      }
-    }
+    copy_rows(rank_ctx_[src]->dat(dat_id), sx0, sx1, sy0, sy1,
+              rank_ctx_[dst]->dat(dat_id), dx0, dy0);
   };
 
   // Each phase runs one sweep per direction, ordered along the data flow.
@@ -290,15 +280,12 @@ void Distributed::verify_halo_coherence(const std::string& loop,
   const Decomp& dec = decomp_[gdat.block().id()];
   const std::size_t entry = gdat.dim() * gdat.elem_bytes();
   std::vector<std::uint8_t> ghost(entry), owned(entry);
-  // Owner of global point p per dim (same edge extension as fetch()).
+  // Owner of global point p per dim: the last rank starting at or before
+  // p, the edge ranks extended over the physical halo (as in fetch()).
   const auto owner_of = [&](int d, index_t p) {
-    for (int c = 0; c < dec.pgrid[d]; ++c) {
-      const auto [lo, hi] = owned_interval(dec, d, c, dec.ref_size[d],
-                                           /*halo_lo=*/1 << 20,
-                                           /*halo_hi=*/1 << 20);
-      if (p >= lo && p < hi) return c;
-    }
-    return dec.pgrid[d] - 1;
+    int c = 0;
+    while (c + 1 < dec.pgrid[d] && p >= dec.starts[d][c + 1]) ++c;
+    return c;
   };
   const auto& gsz = gdat.size();
   const auto& dm = gdat.d_m();
@@ -341,58 +328,49 @@ void Distributed::verify_halo_coherence(const std::string& loop,
 
 void Distributed::fetch(DatBase& global_dat) {
   const Decomp& dec = decomp_[global_dat.block().id()];
-  std::vector<std::uint8_t> buf(global_dat.dim() * global_dat.elem_bytes());
-  // Owner of global point p per dim: the rank interval containing it, with
-  // edge extension into the physical halo.
-  const auto owner_of = [&](int d, index_t p) {
-    for (int c = 0; c < dec.pgrid[d]; ++c) {
-      const auto [lo, hi] = owned_interval(dec, d, c, dec.ref_size[d],
-                                           /*halo_lo=*/1 << 20,
-                                           /*halo_hi=*/1 << 20);
-      if (p >= lo && p < hi) return c;
-    }
-    return dec.pgrid[d] - 1;
-  };
   const auto& sz = global_dat.size();
   const auto& dm = global_dat.d_m();
   const auto& dp = global_dat.d_p();
-  for (index_t j = -dm[1]; j < sz[1] + dp[1]; ++j) {
-    for (index_t i = -dm[0]; i < sz[0] + dp[0]; ++i) {
-      const int cx = owner_of(0, i);
-      const int cy = owner_of(1, j);
-      const int r = cy * dec.pgrid[0] + cx;
-      const DatBase& rdat = rank_ctx_[r]->dat(global_dat.id());
-      rdat.pack_point(i - dec.starts[0][cx], j - dec.starts[1][cy], 0,
-                      buf.data());
-      global_dat.unpack_point(i, j, 0, buf.data());
-    }
+  // Each rank owns its decomposition interval, the edge ranks extended
+  // over the physical halo; clipped to the global allocation, that is one
+  // box per rank.
+  const auto owned = [&](int d, int c) {
+    const auto [lo, hi] =
+        owned_interval(dec, d, c, dec.ref_size[d], dm[d], dp[d]);
+    return std::pair{lo, std::min(hi, sz[d] + dp[d])};
+  };
+  // Like the exchange, this moves plane k = 0 only: the first
+  // pgrid[0] * pgrid[1] ranks are the ones whose z interval holds it.
+  for (int r = 0; r < dec.pgrid[0] * dec.pgrid[1]; ++r) {
+    const auto rcoord = rank_coords(dec, r);
+    const auto [x0, x1] = owned(0, rcoord[0]);
+    const auto [y0, y1] = owned(1, rcoord[1]);
+    const index_t sx = dec.starts[0][rcoord[0]];
+    const index_t sy = dec.starts[1][rcoord[1]];
+    copy_rows(rank_ctx_[r]->dat(global_dat.id()), x0 - sx, x1 - sx, y0 - sy,
+              y1 - sy, global_dat, x0, y0);
   }
 }
 
 void Distributed::scatter(DatBase& global_dat) {
   const Decomp& dec = decomp_[global_dat.block().id()];
-  std::vector<std::uint8_t> buf(global_dat.dim() * global_dat.elem_bytes());
   const auto& gsz = global_dat.size();
   const auto& dm = global_dat.d_m();
   const auto& dp = global_dat.d_p();
   for (int r = 0; r < comm_.size(); ++r) {
     DatBase& rdat = rank_ctx_[r]->dat(global_dat.id());
     const auto rcoord = rank_coords(dec, r);
-    const auto& lsz = rdat.size();
-    for (index_t j = -dm[1]; j < lsz[1] + dp[1]; ++j) {
-      for (index_t i = -dm[0]; i < lsz[0] + dp[0]; ++i) {
-        const index_t gi = i + dec.starts[0][rcoord[0]];
-        const index_t gj = j + dec.starts[1][rcoord[1]];
-        // Local halo points beyond the global allocation (can only happen
-        // for degenerate decompositions) keep their current value.
-        if (gi < -dm[0] || gi >= gsz[0] + dp[0] || gj < -dm[1] ||
-            gj >= gsz[1] + dp[1]) {
-          continue;
-        }
-        global_dat.pack_point(gi, gj, 0, buf.data());
-        rdat.unpack_point(i, j, 0, buf.data());
-      }
-    }
+    const index_t sx = dec.starts[0][rcoord[0]];
+    const index_t sy = dec.starts[1][rcoord[1]];
+    // The rank's whole allocation in global coordinates. Its low edge
+    // never passes the global one (starts are >= 0), but a rank whose
+    // start lies beyond a dat smaller than the block's reference size
+    // reaches past the global high edge; those local halo points keep
+    // their current value.
+    const index_t x1 = std::min(sx + rdat.size()[0], gsz[0]) + dp[0];
+    const index_t y1 = std::min(sy + rdat.size()[1], gsz[1]) + dp[1];
+    copy_rows(global_dat, sx - dm[0], x1, sy - dm[1], y1, rdat, -dm[0],
+              -dm[1]);
   }
   halo_dirty_[global_dat.id()] = 0;
 }

@@ -181,6 +181,16 @@ protected:
   std::string name_;
 };
 
+/// Copies the box [i0, i1) x [j0, j1) of plane k = 0 of `src` into `dst`,
+/// landing at (di, dj); either box may reach into its dat's halo. The dats
+/// must be distinct and agree on dim() and elem_bytes(). raw() flushes each
+/// dat's pending lazy chain once, then every row is one memcpy of
+/// (i1 - i0) * dim * elem_bytes bytes: storage is x-fastest with
+/// components interleaved, so a row of the box is contiguous. An empty box
+/// copies nothing and flushes nothing.
+void copy_rows(const DatBase& src, index_t i0, index_t i1, index_t j0,
+               index_t j1, DatBase& dst, index_t di, index_t dj);
+
 /// A typed dataset: `dim` components of T per grid point, stored
 /// x-fastest with components interleaved, halo included.
 template <class T>

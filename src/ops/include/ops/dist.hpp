@@ -40,10 +40,11 @@ public:
   Context& rank_context(int r) { return *rank_ctx_[r]; }
   void set_node_backend(Backend b);
   /// Lazy loop-chain execution inside every rank context: rank loops queue
-  /// and flush at chain boundaries, composing the PR 1 tiling engine with
-  /// distribution. Works because the exchange/fetch/scatter paths go
-  /// through the dats' pack/unpack accessors, which auto-flush pending
-  /// chains, and per-rank reduction loops are flush points by themselves.
+  /// and flush at chain boundaries, composing the loop-chain tiling engine
+  /// with distribution. Works because the exchange/fetch/scatter row
+  /// copies (ops::copy_rows) reach each dat's storage through raw(), which
+  /// flushes the owning context's pending chain first, and per-rank
+  /// reduction loops are flush points by themselves.
   void set_node_lazy(bool on);
 
   /// Process-grid extent per dimension of `block`.

@@ -175,14 +175,48 @@ TEST(OpsDist, ProcessGridIsNearSquare) {
   EXPECT_GE(grid[0], 2);  // 2x3 or 3x2, not 1x6
 }
 
+/// Traffic of exactly one exchange of `u`: init writes it (dirty), then a
+/// 5-point read of it exchanges it once.
+struct OneExchange {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+};
+
+OneExchange exchange_u_once(Diffusion& d, ops::Distributed& dist) {
+  auto loop = [&](const char* name, const ops::Range& r, auto&& k,
+                  auto... args) {
+    dist.par_loop(name, *d.grid, r, k, args...);
+  };
+  d.init(loop);
+  const auto& t = dist.comm().traffic();
+  const OneExchange before{t.messages(), t.total_bytes()};
+  loop("diff", ops::Range::dim2(0, d.nx, 0, d.ny),
+       [](ops::Acc<double> u, ops::Acc<double> t) {
+         t(0, 0) = u(1, 0) + u(-1, 0) + u(0, 1) + u(0, -1);
+       },
+       ops::arg(*d.u, *d.five, Access::kRead), ops::arg(*d.t, Access::kWrite));
+  return {t.messages() - before.messages, t.total_bytes() - before.bytes};
+}
+
 TEST(OpsDist, HaloPointsMatchPerimeter) {
   Diffusion d(32, 32);
   ops::Distributed dist(d.ctx, 4);  // 2x2 grid
   const std::size_t pts = dist.halo_points(*d.u);
-  // 2x2 decomposition of 32x32 with depth-1 halos: two 16-high cuts per
-  // column pair (x strips) + full-width y strips including x halos.
-  EXPECT_GT(pts, 100u);
-  EXPECT_LT(pts, 400u);
+  // Depth-1 halos on 16 x 16 ranks: per neighbour pair one strip each way,
+  // 18 points long (local extent plus both halos); 2 x pairs + 2 y pairs.
+  EXPECT_EQ(pts, 4u * 2u * 18u);
+  const OneExchange one = exchange_u_once(d, dist);
+  EXPECT_EQ(one.bytes, pts * d.u->dim() * d.u->elem_bytes());
+}
+
+// Each strip is one message carrying its bytes: 2 x pairs and 2 y pairs,
+// one strip each way.
+TEST(OpsDist, OneExchangeIsOneMessagePerStrip) {
+  Diffusion d(32, 32);
+  ops::Distributed dist(d.ctx, 4);  // 2x2 grid
+  const OneExchange one = exchange_u_once(d, dist);
+  EXPECT_EQ(one.messages, 8u);
+  EXPECT_EQ(one.bytes, 8u * 18u * sizeof(double));
 }
 
 TEST(OpsDist, OnDemandExchangeSkipsCleanDats) {

@@ -386,6 +386,58 @@ TEST(VerifyOpsHalo, OutOfBandOwnerWriteIsReportedStale) {
   EXPECT_NE(e->detail.find("dat 'u'"), std::string::npos);
 }
 
+// The report names the rank holding the stale copy and the point's owner.
+// Two ranks split the 6 rows at y = 3; bumping only rank 1's first owned
+// row leaves rank 0's high-y halo row stale, and nothing else.
+TEST(VerifyOpsHalo, StaleCopyNamesReaderAndOwner) {
+  OpsGrid g;
+  g.ctx.set_verify(verify::kHalo);
+  ops::Distributed dist(g.ctx, 2);
+  ASSERT_EQ(dist.process_grid(*g.grid)[1], 2);
+  auto diff = [&](const std::string& name) {
+    dist.par_loop(name, *g.grid, ops::Range::dim2(0, g.nx, 0, g.ny),
+                  [](ops::Acc<double> u, ops::Acc<double> t) {
+                    t(0, 0) = u(1, 0) + u(-1, 0) + u(0, 1) + u(0, -1);
+                  },
+                  ops::arg(*g.u, *g.five, Access::kRead),
+                  ops::arg(*g.t, Access::kWrite));
+  };
+  diff("diff");
+  auto& ru =
+      static_cast<ops::Dat<double>&>(dist.rank_context(1).dat(g.u->id()));
+  for (index_t i = 0; i < ru.size()[0]; ++i) *ru.at(i, 0) += 1.0;
+  EXPECT_APL_ERROR("stale halo copy", diff("diff2"));
+  const verify::Entry* e = g.ctx.verify_report().find("diff2", verify::kHalo);
+  ASSERT_NE(e, nullptr);
+  EXPECT_NE(e->detail.find("rank 0 reads a stale halo copy of global point "
+                           "(0,3) (owner rank 1"),
+            std::string::npos)
+      << e->detail;
+}
+
+// A dat narrower than its block's decomposition: the 2 x 2 grid follows the
+// 8 x 8 `u`, so the second rank column starts at x = 4, past the 2-wide
+// `thin`. Most of that column's local `thin` lies beyond the global
+// allocation and holds no exchanged value; the check skips those points
+// and finds every other ghost copy coherent after the initial scatter.
+TEST(VerifyOpsHalo, PointsPastANarrowDatAreSkipped) {
+  OpsGrid g(8, 8);
+  auto& thin = g.ctx.decl_dat<double>(*g.grid, 1, {2, 8, 1}, {1, 1, 0},
+                                      {2, 1, 0}, "thin");
+  auto& out = g.ctx.decl_dat<double>(*g.grid, 1, {2, 8, 1}, {1, 1, 0},
+                                     {2, 1, 0}, "out");
+  g.ctx.set_verify(verify::kHalo);
+  ops::Distributed dist(g.ctx, 4);
+  ASSERT_EQ(dist.process_grid(*g.grid)[0], 2);
+  dist.par_loop("read_thin", *g.grid, ops::Range::dim2(0, 2, 0, 8),
+                [](ops::Acc<double> u, ops::Acc<double> t) {
+                  t(0, 0) = u(1, 0) + u(-1, 0) + u(0, 1) + u(0, -1);
+                },
+                ops::arg(thin, *g.five, Access::kRead),
+                ops::arg(out, Access::kWrite));
+  EXPECT_EQ(g.ctx.verify_report().find("read_thin", verify::kHalo), nullptr);
+}
+
 // ---- verify-off default -----------------------------------------------------
 
 TEST(VerifyOff, NoChecksLeaveReportEmpty) {
